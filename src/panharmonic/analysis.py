@@ -38,7 +38,8 @@ from .geometry import (Domain, Point2, Polygon, ProbeDisc,
                        distance_to_boundary, domain_to_dict, is_convex_polygon,
                        probe_fits)
 from .mesh import MeshBudgetError, refine_uniform, triangulate
-from .solver import GradientField, ScalarField, gradient_field, solve_dirichlet
+from .solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
+                     gradient_field, solve_dirichlet)
 
 MARGIN_TOL_FACTOR = 1e-6
 SUPERHARMONIC_TOL = 1e-6
@@ -239,7 +240,8 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
                     value_rule: str = "centroid") -> ConvexityReport:
     """Run the condition check over an ascending sweep of mu.
 
-    Each mu reuses the current mesh, refining until mu * h_max <= 0.5; if
+    Each mu reuses the current mesh, refining until mu * h_max <=
+    RESOLUTION_LIMIT (the rule every result's resolution_ok reports); if
     the triangle budget stops the refinement, the sweep truncates with a
     note.  The verdict covers the resolution-verified prefix only, and
     CONDITION_FAILS means "no certificate at the tested mu", never a proof
@@ -264,7 +266,7 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
     swept: list[float] = []
     for mu in mu_list:
         try:
-            while mu * mesh.h_max > 0.5:
+            while mu * mesh.h_max > RESOLUTION_LIMIT:
                 mesh = refine_uniform(mesh, domain)
         except MeshBudgetError:
             notes.append(
@@ -335,6 +337,11 @@ def report_to_dict(report: ConvexityReport) -> dict:
     }
 
 
+def format_float(x: float) -> str:
+    """17 significant digits: every double survives the text round trip."""
+    return format(x, ".17g")
+
+
 def write_report_json(report: ConvexityReport, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
@@ -344,15 +351,11 @@ def write_report_json(report: ConvexityReport, path) -> None:
 def write_margins_csv(report: ConvexityReport, path) -> None:
     """One row per mu: mu, min_margin, argmin_x, argmin_y, sup_error,
     resolution_ok.  17 significant digits throughout."""
-    def fmt(x: float) -> str:
-        return format(x, ".17g")
-
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("mu,min_margin,argmin_x,argmin_y,sup_error,resolution_ok\n")
         for cond, var in zip(report.condition_results, report.varadhan_results):
-            sup = fmt(var.sup_error) if var is not None else "nan"
-            f.write(",".join([
-                fmt(cond.mu), fmt(cond.min_margin),
-                fmt(cond.argmin_centroid.x1), fmt(cond.argmin_centroid.x2),
-                sup, str(int(cond.resolution_ok)),
-            ]) + "\n")
+            sup = var.sup_error if var is not None else math.nan
+            cells = map(format_float, (
+                cond.mu, cond.min_margin,
+                cond.argmin_centroid.x1, cond.argmin_centroid.x2, sup))
+            f.write(",".join([*cells, str(int(cond.resolution_ok))]) + "\n")

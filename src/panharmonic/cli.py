@@ -30,10 +30,6 @@ _EXIT_PIPELINE = 1
 _EXIT_CONFIG = 2
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panharmonic",
@@ -219,8 +215,8 @@ def _write_varadhan_csv(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("mu,sup_error,error_x,error_y,envelope_constant,resolution_ok\n")
         for mu, sup, x, y, env, ok in rows:
-            f.write(",".join([_fmt(mu), _fmt(sup), _fmt(x), _fmt(y),
-                              _fmt(env), str(int(ok))]) + "\n")
+            cells = map(analysis.format_float, (mu, sup, x, y, env))
+            f.write(",".join([*cells, str(int(ok))]) + "\n")
 
 
 def _cmd_check_convexity(args) -> int:
@@ -260,11 +256,10 @@ def _cmd_probe_superharmonic(args) -> int:
     with open(out / "probes.csv", "w", encoding="utf-8", newline="") as f:
         f.write("center_x,center_y,radius,mean,center_value,violated\n")
         for r in results:
-            f.write(",".join([
-                _fmt(r.probe.center.x1), _fmt(r.probe.center.x2),
-                _fmt(r.probe.radius), _fmt(r.mean), _fmt(r.center_value),
-                str(int(r.violated)),
-            ]) + "\n")
+            cells = map(analysis.format_float, (
+                r.probe.center.x1, r.probe.center.x2, r.probe.radius,
+                r.mean, r.center_value))
+            f.write(",".join([*cells, str(int(r.violated))]) + "\n")
     if not probes:
         print("no reflex corners found; probes.csv has only a header")
     else:
@@ -275,28 +270,17 @@ def _cmd_probe_superharmonic(args) -> int:
 
 
 def _validation_checks():
-    def bessel_branches():
-        z = special.SERIES_ASYMPTOTIC_SWITCH
-        i0s = special._series_i0(np.array([z]))[0]
-        i0a = (np.exp(z) / np.sqrt(2 * np.pi * z)
-               * special._asymptotic_factor(np.array([z]), special._C0))[0]
-        i1s = special._series_i1(np.array([z]))[0]
-        i1a = (np.exp(z) / np.sqrt(2 * np.pi * z)
-               * special._asymptotic_factor(np.array([z]), special._C1))[0]
-        r0 = abs(i0s - i0a) / i0s
-        r1 = abs(i1s - i1a) / i1s
-        return max(r0, r1) <= 1e-11, f"branch mismatch at z={z:g}: {max(r0, r1):.2e}"
-
     def bessel_derivative():
+        # I1'(z) = I0(z) - I1(z)/z, via central differences.
         z = np.linspace(0.5, 30.0, 60)
-        h = 1e-5
+        h = 1e-6 * np.maximum(1.0, z)
         fd = (special.bessel_i1(z + h) - special.bessel_i1(z - h)) / (2 * h)
         exact = special.bessel_i0(z) - special.bessel_i1(z) / z
         worst = float(np.max(np.abs(fd - exact) / np.abs(exact)))
-        return worst <= 1e-6, f"worst dI1/dz relative gap {worst:.2e}"
+        return worst <= 1e-7, f"worst dI1/dz relative gap {worst:.2e}"
 
     def bessel_ratio():
-        z = np.linspace(0.1, 100.0, 200)
+        z = np.linspace(0.1, 100.0, 1000)
         ratio = np.exp(special.log_bessel_i1(z) - special.log_bessel_i0(z))
         ok = bool(np.all(ratio < 1.0) and np.all(np.diff(ratio) > 0.0))
         return ok, f"I1/I0 in ({ratio[0]:.4f}, {ratio[-1]:.4f}), monotone={ok}"
@@ -337,7 +321,6 @@ def _validation_checks():
         return bool(np.all(margins > 0.0)), f"min analytic margin {margins.min():.6f}"
 
     return [
-        ("bessel-branch-consistency", bessel_branches),
         ("bessel-derivative-identity", bessel_derivative),
         ("bessel-ratio-monotone", bessel_ratio),
         ("disc-dirichlet-fem", disc_dirichlet),

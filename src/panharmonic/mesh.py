@@ -64,13 +64,7 @@ class Mesh:
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"triangle {bad} is degenerate or flipped")
 
-        directed = np.concatenate([triangles[:, [0, 1]],
-                                   triangles[:, [1, 2]],
-                                   triangles[:, [2, 0]]])
-        und = np.sort(directed, axis=1)
-        uniq, inverse, counts = np.unique(und, axis=0, return_inverse=True,
-                                          return_counts=True)
-        inverse = inverse.reshape(-1)
+        directed, uniq, inverse, counts = _edge_topology(triangles)
         if counts.max(initial=1) > 2:
             raise ValueError("nonconforming mesh: an edge is shared by >2 triangles")
         boundary_dir = directed[counts[inverse] == 1]
@@ -119,6 +113,21 @@ class Mesh:
     @property
     def h_min(self) -> float:
         return float(self.edge_lengths.min())
+
+
+def _edge_topology(triangles: np.ndarray):
+    """Edges of a triangle list.
+
+    Returns (directed, uniq, inverse, counts): the 3M directed edges in
+    blocks 01, 12, 20; the sorted unique undirected edges; the index of each
+    directed edge into uniq; and how many triangles share each unique edge.
+    """
+    directed = np.concatenate([triangles[:, [0, 1]],
+                               triangles[:, [1, 2]],
+                               triangles[:, [2, 0]]])
+    uniq, inverse, counts = np.unique(np.sort(directed, axis=1), axis=0,
+                                      return_inverse=True, return_counts=True)
+    return directed, uniq, inverse.reshape(-1), counts
 
 
 def _signed_areas(nodes, triangles) -> np.ndarray:
@@ -296,11 +305,7 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
             f"of {TRIANGLE_BUDGET}")
     tris = mesh.triangles
     m = mesh.n_triangles
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    uniq, inverse, counts = np.unique(und, axis=0, return_inverse=True,
-                                      return_counts=True)
-    inverse = inverse.reshape(-1)
+    _, uniq, inverse, counts = _edge_topology(tris)
     mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
 
     if isinstance(domain, Disc):

@@ -9,10 +9,9 @@ The two closed forms implemented here are the standard benchmark solutions of
 * on the upper half-plane,  v(x) = exp(-mu x2), for which mu v - |grad v|
   vanishes identically.
 
-I0 and I1 follow the classical two-branch evaluation (DLMF 10.25.2 power
-series, DLMF 10.40.1 large-argument expansion).  Both branches are fixed-term
-and fully deterministic; log-space variants cover arguments where exp(z)
-would overflow.
+I0 and I1 are thin wrappers over scipy.special.  The log-space variants
+switch to the exponentially scaled i0e/i1e above MAX_ARGUMENT, so they stay
+finite where exp(z) would overflow.
 """
 
 from __future__ import annotations
@@ -22,117 +21,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Branch switch of the two evaluation regimes.  At the switch point the
-# truncated asymptotic tail is ~1e-14 relative, well under the 1e-11
-# cross-branch agreement target.
-SERIES_ASYMPTOTIC_SWITCH = 15.0
-
 # exp(z) overflows IEEE doubles near z = 709; the direct-value functions are
 # capped below that so I0 itself stays representable (I0(700) ~ 1.5e302).
 MAX_ARGUMENT = 700.0
 
-_SERIES_TERMS = 60
-_ASYMPTOTIC_TERMS = 31  # minimum-term truncation for z >= 15
+
+def _scipy_special():
+    # Imported on first use: scipy.special adds about 50 ms and 5 MB to a
+    # fresh interpreter, and the finite-element pipeline never needs it.
+    from scipy import special
+    return special
 
 
-def _asymptotic_coefficients(nu: int) -> np.ndarray:
-    # Coefficients c_k of I_nu(z) ~ e^z/sqrt(2 pi z) * sum c_k z^{-k},
-    # c_k = c_{k-1} * ((2k-1)^2 - 4 nu^2) / (8k).
-    mu4 = 4.0 * nu * nu
-    c = np.empty(_ASYMPTOTIC_TERMS)
-    c[0] = 1.0
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        c[k] = c[k - 1] * ((2 * k - 1) ** 2 - mu4) / (8.0 * k)
-    return c
-
-_C0 = _asymptotic_coefficients(0)
-_C1 = _asymptotic_coefficients(1)
-
-
-def _series_i0(z: np.ndarray) -> np.ndarray:
-    # sum_k (z/2)^{2k} / (k!)^2; all terms positive, no cancellation.
-    t = 0.25 * z * z
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for k in range(1, _SERIES_TERMS):
-        term = term * t / (k * k)
-        acc = acc + term
-    return acc
-
-
-def _series_i1(z: np.ndarray) -> np.ndarray:
-    # sum_k (z/2)^{2k+1} / (k! (k+1)!)
-    t = 0.25 * z * z
-    term = 0.5 * z
-    acc = term.copy()
-    for k in range(1, _SERIES_TERMS):
-        term = term * t / (k * (k + 1))
-        acc = acc + term
-    return acc
-
-
-def _asymptotic_factor(z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    # Horner evaluation of sum c_k z^{-k}; for z >= 15 the factor is within
-    # a few percent of 1 and strictly positive.
-    u = 1.0 / z
-    acc = np.full_like(z, coeff[-1])
-    for k in range(_ASYMPTOTIC_TERMS - 2, -1, -1):
-        acc = acc * u + coeff[k]
-    return acc
-
-
-def _eval_two_branch(z, series_fn, coeff, log_scale: bool):
+def _as_argument(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("bessel argument must be finite and nonnegative")
-    out = np.empty_like(arr)
-    small = arr <= SERIES_ASYMPTOTIC_SWITCH
-    if np.any(small):
-        s = series_fn(arr[small])
-        if log_scale:
-            with np.errstate(divide="ignore"):  # log(0) = -inf for I1 at z=0
-                s = np.log(s)
-        out[small] = s
-    if np.any(~small):
-        zl = arr[~small]
-        factor = _asymptotic_factor(zl, coeff)
-        if log_scale:
-            out[~small] = zl - 0.5 * np.log(2.0 * np.pi * zl) + np.log(factor)
-        else:
-            out[~small] = np.exp(zl) / np.sqrt(2.0 * np.pi * zl) * factor
-    return float(out[0]) if scalar else out
+    return arr
 
 
-def _check_overflow_guard(z) -> None:
-    if np.any(np.asarray(z, dtype=float) > MAX_ARGUMENT):
+def _direct(z, fn):
+    arr = _as_argument(z)
+    if np.any(arr > MAX_ARGUMENT):
         raise ValueError(
             f"argument exceeds the overflow guard {MAX_ARGUMENT:g}; "
-            "use the log-space variant"
-        )
+            "use the log-space variant")
+    out = fn(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _log(z, fn, scaled_fn):
+    # Up to the guard take the log of the direct value, so the log and
+    # direct variants agree to rounding; past it, where I(z) overflows, use
+    # log(I(z) e^-z) + z.
+    arr = _as_argument(z)
+    with np.errstate(divide="ignore"):  # log(0) = -inf for I1 at z=0
+        out = np.where(arr <= MAX_ARGUMENT, np.log(fn(arr)),
+                       np.log(scaled_fn(arr)) + arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_i0(z):
     """Modified Bessel function I0 for 0 <= z <= 700 (scalar or array)."""
-    _check_overflow_guard(z)
-    return _eval_two_branch(z, _series_i0, _C0, log_scale=False)
+    return _direct(z, _scipy_special().i0)
 
 
 def bessel_i1(z):
     """Modified Bessel function I1 for 0 <= z <= 700 (scalar or array)."""
-    _check_overflow_guard(z)
-    return _eval_two_branch(z, _series_i1, _C1, log_scale=False)
+    return _direct(z, _scipy_special().i1)
 
 
 def log_bessel_i0(z):
     """log I0(z), overflow-free for large z."""
-    return _eval_two_branch(z, _series_i0, _C0, log_scale=True)
+    sp = _scipy_special()
+    return _log(z, sp.i0, sp.i0e)
 
 
 def log_bessel_i1(z):
     """log I1(z); returns -inf at z = 0."""
-    return _eval_two_branch(z, _series_i1, _C1, log_scale=True)
+    sp = _scipy_special()
+    return _log(z, sp.i1, sp.i1e)
 
 
 @dataclass(frozen=True)

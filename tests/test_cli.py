@@ -171,9 +171,19 @@ class TestProbeSuperharmonic:
 def test_validate_all_pass(capsys):
     assert _run(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+_VALIDATION_CHECKS = cli._validation_checks()
+
+
+@pytest.mark.parametrize("name,check", _VALIDATION_CHECKS,
+                         ids=[name for name, _ in _VALIDATION_CHECKS])
+def test_validation_check(name, check):
+    ok, detail = check()
+    assert ok, f"{name}: {detail}"
 
 
 class TestConfigErrors:

@@ -16,6 +16,7 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -270,6 +271,11 @@ def _cmd_probe_superharmonic(args) -> int:
 
 
 def _validation_checks():
+    @functools.cache
+    def disc_mesh():
+        # Shared by both disc checks and built on first use.
+        return meshing.triangulate(geometry.unit_disc(), 0.02)
+
     def bessel_derivative():
         # I1'(z) = I0(z) - I1(z)/z, via central differences.
         z = np.linspace(0.5, 30.0, 60)
@@ -286,7 +292,7 @@ def _validation_checks():
         return ok, f"I1/I0 in ({ratio[0]:.4f}, {ratio[-1]:.4f}), monotone={ok}"
 
     def disc_dirichlet():
-        m = meshing.triangulate(geometry.unit_disc(), 0.02)
+        m = disc_mesh()
         field = solver.solve_dirichlet(m, 1.0)
         center = float(field.values[0])  # node 0 is the web center
         exact = 1.0 / special.bessel_i0(1.0)
@@ -294,7 +300,7 @@ def _validation_checks():
         return gap <= 2e-3, f"center value gap {gap:.2e} (limit 2e-3)"
 
     def disc_neumann():
-        m = meshing.triangulate(geometry.unit_disc(), 0.02)
+        m = disc_mesh()
         field = solver.solve_neumann(m, 1.0)
         c_exact = 1.0 / special.bessel_i1(1.0)
         b_exact = special.bessel_i0(1.0) / special.bessel_i1(1.0)

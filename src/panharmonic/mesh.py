@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import Disc, Domain, Polygon, domain_scale
 
@@ -64,13 +65,12 @@ class Mesh:
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"triangle {bad} is degenerate or flipped")
 
-        directed, uniq, inverse, counts = _edge_topology(triangles)
+        directed, uniq, inverse, counts = _edge_topology(triangles, n)
         if counts.max(initial=1) > 2:
             raise ValueError("nonconforming mesh: an edge is shared by >2 triangles")
         boundary_dir = directed[counts[inverse] == 1]
 
-        used = np.unique(triangles)
-        if used.size != n:
+        if not np.all(np.bincount(triangles.ravel(), minlength=n) > 0):
             raise ValueError("mesh has orphan nodes")
 
         boundary_node = np.zeros(n, dtype=bool)
@@ -80,14 +80,18 @@ class Mesh:
         lengths = np.hypot(e[:, 0], e[:, 1])
         normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
 
-        for arr in (nodes, triangles, boundary_node, boundary_dir, normals):
+        for arr in (nodes, triangles, boundary_node, boundary_dir, normals,
+                    uniq, inverse, counts):
             arr.setflags(write=False)
         self.nodes = nodes
         self.triangles = triangles
         self.boundary_node = boundary_node
         self.boundary_edges = boundary_dir
         self.boundary_normals = normals
+        # Edge topology as returned by _edge_topology, kept for refinement.
         self._edges_unique = uniq
+        self._edge_inverse = inverse
+        self._edge_counts = counts
         self._areas = areas
 
     @property
@@ -114,20 +118,79 @@ class Mesh:
     def h_min(self) -> float:
         return float(self.edge_lengths.min())
 
+    # The mu-free pieces of P1 assembly.  They depend only on the mesh, which
+    # is immutable, so each is built on first use and lives as long as the
+    # mesh does; the solver adds mu^2 times the lumped mass per solve.
 
-def _edge_topology(triangles: np.ndarray):
-    """Edges of a triangle list.
+    @cached_property
+    def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of the three hat functions on each triangle, and the
+        triangle areas they are scaled by: ((M, 3, 2), (M,)), read-only.
+
+        grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
+        """
+        p = self.nodes[self.triangles]
+        e = np.empty_like(p)  # e[:, i] = p_{i+2} - p_{i+1}
+        for i in range(3):
+            e[:, i] = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        areas = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+        grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
+        grads.setflags(write=False)
+        areas.setflags(write=False)
+        return grads, areas
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """P1 stiffness matrix K, verified to be exactly symmetric:
+        per-triangle blocks are symmetric and duplicate summation order is
+        identical for (i, j) and (j, i).  Its arrays are read-only."""
+        grads, areas = self.hat_gradients
+        n = self.n_nodes
+        # Indices in the dtype scipy stores them in, so that the coordinate
+        # arrays (9 entries per triangle) are not built in int64 and then
+        # copied: that copy set the peak memory of a sweep.
+        tri = self.triangles.astype(np.int32 if n <= np.iinfo(np.int32).max
+                                    else np.int64)
+        local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+        rows = np.repeat(tri, 3, axis=1).ravel()           # i index, 9 per triangle
+        cols = np.tile(tri, (1, 3)).ravel()                # j index
+        k = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        skew = k - k.T
+        if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
+            raise AssertionError("stiffness matrix is not exactly symmetric")
+        for arr in (k.data, k.indices, k.indptr):
+            arr.setflags(write=False)
+        return k
+
+    @cached_property
+    def lumped_mass(self) -> np.ndarray:
+        """Lumped mass vector: one third of the adjacent triangle area per
+        node.  Read-only."""
+        _, areas = self.hat_gradients
+        lumped = np.zeros(self.n_nodes)
+        np.add.at(lumped, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
+        lumped.setflags(write=False)
+        return lumped
+
+
+def _edge_topology(triangles: np.ndarray, n_nodes: int):
+    """Edges of a triangle list on nodes 0 .. n_nodes - 1.
 
     Returns (directed, uniq, inverse, counts): the 3M directed edges in
     blocks 01, 12, 20; the sorted unique undirected edges; the index of each
     directed edge into uniq; and how many triangles share each unique edge.
+    Edges are deduplicated on the int64 key lo * n_nodes + hi, which sorts
+    exactly as the (lo, hi) rows do.
     """
     directed = np.concatenate([triangles[:, [0, 1]],
                                triangles[:, [1, 2]],
                                triangles[:, [2, 0]]])
-    uniq, inverse, counts = np.unique(np.sort(directed, axis=1), axis=0,
+    lo = np.minimum(directed[:, 0], directed[:, 1])
+    hi = np.maximum(directed[:, 0], directed[:, 1])
+    keys, inverse, counts = np.unique(lo * n_nodes + hi,
                                       return_inverse=True, return_counts=True)
-    return directed, uniq, inverse.reshape(-1), counts
+    uniq = np.column_stack([keys // n_nodes, keys % n_nodes])
+    return directed, uniq, inverse, counts
 
 
 def _signed_areas(nodes, triangles) -> np.ndarray:
@@ -137,17 +200,24 @@ def _signed_areas(nodes, triangles) -> np.ndarray:
     return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
-def mesh_quality(mesh: Mesh) -> MeshQuality:
-    """Per-triangle angle and edge-length extrema."""
-    p = mesh.nodes[mesh.triangles]
+def _angles_and_sides(nodes, triangles):
+    """(3, M) interior angles in degrees, angle k at vertex k, and (3, M)
+    side lengths, side k opposite vertex k."""
+    p = nodes[triangles]
     sides = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]])
-    lens = np.hypot(sides[:, :, 0], sides[:, :, 1])  # (3, M), side k opposite vertex k
+    lens = np.hypot(sides[:, :, 0], sides[:, :, 1])
     a, b, c = lens[0], lens[1], lens[2]
     angles = np.empty_like(lens)
     for k, opp in enumerate((a, b, c)):
         adj1, adj2 = (b, c, a)[k], (c, a, b)[k]
         cosv = (adj1**2 + adj2**2 - opp**2) / (2.0 * adj1 * adj2)
         angles[k] = np.degrees(np.arccos(np.clip(cosv, -1.0, 1.0)))
+    return angles, lens
+
+
+def mesh_quality(mesh: Mesh) -> MeshQuality:
+    """Per-triangle angle and edge-length extrema."""
+    angles, lens = _angles_and_sides(mesh.nodes, mesh.triangles)
     nonobtuse = np.all(angles <= 90.0 + 1e-9, axis=0)
     return MeshQuality(
         min_angle=float(angles.min()),
@@ -202,23 +272,26 @@ def _ear_clip(vertices: np.ndarray) -> np.ndarray:
 
 def _neighbor_means(nodes: np.ndarray, edges: np.ndarray):
     n = nodes.shape[0]
-    acc = np.zeros_like(nodes)
-    cnt = np.zeros(n)
-    np.add.at(acc, edges[:, 0], nodes[edges[:, 1]])
-    np.add.at(acc, edges[:, 1], nodes[edges[:, 0]])
-    np.add.at(cnt, edges.ravel(), 1.0)
-    return acc / cnt[:, None]
+    # Each node sums its neighbours over edges where it is the first end,
+    # then over edges where it is the second, in edge order.
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    others = np.concatenate([edges[:, 1], edges[:, 0]])
+    acc = np.column_stack([np.bincount(ends, weights=nodes[others, d], minlength=n)
+                           for d in range(2)])
+    return acc / np.bincount(ends, minlength=n)[:, None]
 
 
 def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
-    """Laplacian relaxation of interior nodes, guarded against inversion
-    and against stretching any edge beyond h_cap."""
+    """Laplacian relaxation of interior nodes, guarded against inversion,
+    against stretching any edge beyond h_cap, and against any angle falling
+    below half the smallest angle of the input mesh."""
     nodes = mesh.nodes.copy()
     interior = ~mesh.boundary_node
     if not np.any(interior):
         return mesh
     tris = mesh.triangles
     edges = mesh._edges_unique
+    angle_floor = 0.5 * _angles_and_sides(nodes, tris)[0].min()
     for _ in range(sweeps):
         target = _neighbor_means(nodes, edges)
         blend = 1.0
@@ -227,7 +300,8 @@ def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
             cand[interior] += blend * (target[interior] - nodes[interior])
             areas = _signed_areas(cand, tris)
             e = cand[edges[:, 1]] - cand[edges[:, 0]]
-            if areas.min() > 0.0 and np.hypot(e[:, 0], e[:, 1]).max() <= h_cap:
+            if (areas.min() > 0.0 and np.hypot(e[:, 0], e[:, 1]).max() <= h_cap
+                    and _angles_and_sides(cand, tris)[0].min() >= angle_floor):
                 nodes = cand
                 break
             blend *= 0.5
@@ -250,26 +324,22 @@ def _disc_web(disc: Disc, target_h: float) -> Mesh:
                                        cy + r * np.sin(theta)]))
     nodes = np.concatenate(chunks)
 
-    def ring_start(k: int) -> int:
-        return 1 + 3 * k * (k - 1) if k >= 1 else 0
-
-    tris = []
+    # Annulus k (between rings k-1 and k) is six sectors; sector s holds k
+    # triangles on the outer ring, then k-1 on the inner ring.
+    # Ring k >= 1 starts at node 1 + 3k(k-1); ring 0 is the centre node 0.
+    blocks = []
+    s = np.arange(6, dtype=np.int64)[:, None]
     for k in range(1, rings + 1):
-        ro, ri = ring_start(k), ring_start(k - 1)
-        for s in range(6):
-            def outer(j):
-                return ro + (s * k + j) % (6 * k)
-
-            def inner(j):
-                if k == 1:
-                    return 0
-                return ri + (s * (k - 1) + j) % (6 * (k - 1))
-
-            for j in range(k):
-                tris.append((outer(j), outer(j + 1), inner(j)))
-            for j in range(k - 1):
-                tris.append((inner(j + 1), inner(j), outer(j + 1)))
-    return Mesh(nodes, np.array(tris, dtype=np.int64))
+        j = np.arange(k + 1, dtype=np.int64)[None, :]
+        outer = 1 + 3 * k * (k - 1) + (s * k + j) % (6 * k)     # (6, k + 1)
+        if k == 1:
+            inner = np.zeros_like(outer)
+        else:
+            inner = 1 + 3 * (k - 1) * (k - 2) + (s * (k - 1) + j) % (6 * (k - 1))
+        up = np.stack([outer[:, :k], outer[:, 1:], inner[:, :k]], axis=2)
+        down = np.stack([inner[:, 1:k], inner[:, :k - 1], outer[:, 1:k]], axis=2)
+        blocks.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
+    return Mesh(nodes, np.concatenate(blocks))
 
 
 def triangulate(domain: Domain, target_h: float) -> Mesh:
@@ -305,11 +375,11 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
             f"of {TRIANGLE_BUDGET}")
     tris = mesh.triangles
     m = mesh.n_triangles
-    _, uniq, inverse, counts = _edge_topology(tris)
+    uniq, inverse = mesh._edges_unique, mesh._edge_inverse
     mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
 
     if isinstance(domain, Disc):
-        on_boundary = counts == 1
+        on_boundary = mesh._edge_counts == 1
         c = np.array([domain.center.x1, domain.center.x2])
         rel = mids[on_boundary] - c
         norm = np.hypot(rel[:, 0], rel[:, 1])

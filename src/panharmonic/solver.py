@@ -76,46 +76,17 @@ class SpdSystem:
     rhs: np.ndarray
 
 
-def _barycentric_gradients(nodes, triangles):
-    """Gradients of the three hat functions on each triangle.
-
-    grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
-    Returns (grads (M, 3, 2), areas (M,)).
-    """
-    p = nodes[triangles]
-    e = np.empty_like(p)  # e[:, i] = p_{i+2} - p_{i+1}
-    for i in range(3):
-        e[:, i] = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-    areas = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
-    grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
-    return grads, areas
-
-
 def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble the operator A = K + mu^2 diag(m) and return (A, m).
 
     K is the P1 stiffness matrix, m the lumped mass vector (one third of
-    the adjacent triangle area per node).  A is verified to be exactly
-    symmetric: per-triangle blocks are symmetric and duplicate summation
-    order is identical for (i, j) and (j, i).
+    the adjacent triangle area per node); both are built once per mesh and
+    cached on it (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is
+    read-only.  A is exactly symmetric: K is verified to be, and the added
+    term is diagonal.
     """
-    grads, areas = _barycentric_gradients(mesh.nodes, mesh.triangles)
-    n = mesh.n_nodes
-    tri = mesh.triangles
-
-    local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
-    rows = np.repeat(tri, 3, axis=1).ravel()           # i index, 9 per triangle
-    cols = np.tile(tri, (1, 3)).ravel()                # j index
-    stiffness = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-    lumped = np.zeros(n)
-    np.add.at(lumped, tri.ravel(), np.repeat(areas / 3.0, 3))
-
-    operator = stiffness + sp.diags(mu * mu * lumped, format="csr")
-    skew = operator - operator.T
-    if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
-        raise AssertionError("assembled operator is not exactly symmetric")
-    return operator, lumped
+    lumped = mesh.lumped_mass
+    return mesh.stiffness + sp.diags(mu * mu * lumped, format="csr"), lumped
 
 
 def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
@@ -208,7 +179,7 @@ def gradient_field(mesh, field: ScalarField) -> GradientField:
     """Constant per-triangle gradient of the P1 interpolant of the field."""
     if field.mesh is not mesh or field.values.shape[0] != mesh.n_nodes:
         raise ValueError("field is not defined on this mesh")
-    grads, _ = _barycentric_gradients(mesh.nodes, mesh.triangles)
+    grads, _ = mesh.hat_gradients
     vals = field.values[mesh.triangles]               # (M, 3)
     vectors = np.einsum("ti,tik->tk", vals, grads)
     return GradientField(mesh, vectors)

@@ -11,10 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from panharmonic.geometry import unit_disc, unit_square, l_shape, regular_polygon
+from panharmonic.geometry import (Polygon, unit_disc, unit_square, l_shape,
+                                  regular_polygon)
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
+                              _ear_clip, _edge_topology, _neighbor_means,
                               mesh_quality, refine_uniform, save_mesh_text,
                               triangulate)
+
+
+def skyline(heights, step=0.4) -> Polygon:
+    """Rectilinear polygon: columns of width step and the given heights."""
+    xs = [round(i * step, 10) for i in range(len(heights) + 1)]
+    verts = [[0.0, 0.0], [xs[-1], 0.0]]
+    for i in reversed(range(len(heights))):
+        verts += [[xs[i + 1], heights[i]], [xs[i], heights[i]]]
+    return Polygon(verts)
 
 
 class TestSquare:
@@ -116,6 +127,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Mesh(nodes4, np.array([[0, 1, 2]]))  # orphan node
 
+    def test_orphan_below_largest_index(self):
+        # Node 2 is unused although node 3, the last, is referenced.
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="orphan"):
+            Mesh(nodes, np.array([[0, 1, 3]]))
+
     def test_arrays_read_only(self, unit_square):
         m = triangulate(unit_square, 0.5)
         with pytest.raises(ValueError):
@@ -159,3 +176,100 @@ def test_save_mesh_text(tmp_path, unit_square):
     assert flag in ("0", "1")
     i, j, k = lines[m.n_nodes].split()
     assert [int(i), int(j), int(k)] == m.triangles[0].tolist()
+
+
+# Ear clipping of these skylines leaves slivers on the rectilinear steps;
+# smoothing used to flatten them to 0 degrees, and refining the result then
+# failed with "degenerate or flipped".
+@pytest.mark.parametrize("heights", [
+    (0.4, 1.2, 0.8, 0.4, 1.2), (1.2, 0.4, 0.8, 1.2, 0.8),
+    (1.2, 0.4, 0.8, 1.2, 0.4), (1.2, 0.8, 1.2, 0.8, 0.4),
+    (1.2, 0.4, 1.2, 0.8, 0.4)])
+def test_skyline_smoothing_keeps_angles(heights):
+    dom = skyline(heights)
+    target_h = 0.0625
+    rough = Mesh(dom.vertices, _ear_clip(dom.vertices))
+    while rough.h_max > 1.5 * target_h:
+        rough = refine_uniform(rough, dom)
+    m = triangulate(dom, target_h)
+    assert mesh_quality(m).min_angle >= 0.5 * mesh_quality(rough).min_angle
+    r = refine_uniform(m, dom)
+    assert r.n_triangles == 4 * m.n_triangles
+
+
+class TestFastPaths:
+    """The vectorized mesh routines against the plain versions they
+    replaced, kept here as references."""
+
+    @staticmethod
+    def edge_topology_reference(triangles):
+        directed = np.concatenate([triangles[:, [0, 1]],
+                                   triangles[:, [1, 2]],
+                                   triangles[:, [2, 0]]])
+        uniq, inverse, counts = np.unique(np.sort(directed, axis=1), axis=0,
+                                          return_inverse=True,
+                                          return_counts=True)
+        return directed, uniq, inverse.reshape(-1), counts
+
+    @staticmethod
+    def disc_web_reference(rings):
+        def ring_start(k):
+            return 1 + 3 * k * (k - 1) if k >= 1 else 0
+
+        tris = []
+        for k in range(1, rings + 1):
+            ro, ri = ring_start(k), ring_start(k - 1)
+            for s in range(6):
+                def outer(j):
+                    return ro + (s * k + j) % (6 * k)
+
+                def inner(j):
+                    if k == 1:
+                        return 0
+                    return ri + (s * (k - 1) + j) % (6 * (k - 1))
+
+                for j in range(k):
+                    tris.append((outer(j), outer(j + 1), inner(j)))
+                for j in range(k - 1):
+                    tris.append((inner(j + 1), inner(j), outer(j + 1)))
+        return np.array(tris, dtype=np.int64)
+
+    @staticmethod
+    def permuted(m, seed=3):
+        perm = np.random.default_rng(seed).permutation(m.n_nodes)
+        nodes = np.empty_like(m.nodes)
+        nodes[perm] = m.nodes
+        return Mesh(nodes, perm[m.triangles])
+
+    @pytest.mark.parametrize("case", ["l_shape", "disc", "permuted"])
+    def test_edge_topology(self, case, l_shape, unit_disc):
+        if case == "disc":
+            m = triangulate(unit_disc, 0.1)
+        else:
+            m = triangulate(l_shape, 0.1)
+            if case == "permuted":
+                m = self.permuted(m)
+        got = _edge_topology(m.triangles, m.n_nodes)
+        ref = self.edge_topology_reference(m.triangles)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+        assert np.array_equal(m._edges_unique, ref[1])
+
+    @pytest.mark.parametrize("target_h", [0.5, 0.3, 0.1, 0.05])
+    def test_disc_web(self, target_h, unit_disc):
+        m = triangulate(unit_disc, target_h)
+        rings = math.isqrt(m.n_triangles // 6)
+        assert 6 * rings * rings == m.n_triangles
+        assert np.array_equal(m.triangles, self.disc_web_reference(rings))
+
+    def test_neighbor_means(self, l_shape):
+        m = self.permuted(triangulate(l_shape, 0.1))
+        edges = m._edges_unique
+        acc = np.zeros_like(m.nodes)
+        cnt = np.zeros(m.n_nodes)
+        np.add.at(acc, edges[:, 0], m.nodes[edges[:, 1]])
+        np.add.at(acc, edges[:, 1], m.nodes[edges[:, 0]])
+        np.add.at(cnt, edges.ravel(), 1.0)
+        ref = acc / cnt[:, None]
+        assert _neighbor_means(m.nodes, edges).tobytes() == ref.tobytes()

@@ -11,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from panharmonic.geometry import unit_disc, unit_square, l_shape
-from panharmonic.mesh import triangulate, refine_uniform
+from panharmonic.geometry import Polygon
+from panharmonic.mesh import Mesh, triangulate, refine_uniform
 from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 ConvergenceError, ResolutionWarning,
                                 ScalarField, SpdSystem, assemble,
@@ -40,6 +42,39 @@ class TestAssembly:
         eigs = np.linalg.eigvalsh(operator.toarray())
         assert eigs.min() > 0.0
 
+    @staticmethod
+    def assemble_reference(mesh, mu):
+        """Everything rebuilt from the nodes, as assembly did before the
+        mu-free pieces were cached on the mesh."""
+        p = mesh.nodes[mesh.triangles]
+        e = np.empty_like(p)
+        for i in range(3):
+            e[:, i] = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        areas = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+        grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
+        n, tri = mesh.n_nodes, mesh.triangles
+        local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        stiffness = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        lumped = np.zeros(n)
+        np.add.at(lumped, tri.ravel(), np.repeat(areas / 3.0, 3))
+        return stiffness + sp.diags(mu * mu * lumped, format="csr"), lumped
+
+    def test_cached_assembly_is_bit_identical(self, l_shape):
+        m = triangulate(l_shape, 0.1)
+        for mu in (0.5, 3.0, 40.0, 3.0):
+            cached, lumped = assemble(m, mu)
+            fresh, fresh_lumped = assemble(Mesh(m.nodes, m.triangles), mu)
+            ref, ref_lumped = self.assemble_reference(m, mu)
+            for other, other_lumped in ((fresh, fresh_lumped), (ref, ref_lumped)):
+                assert np.array_equal(cached.indptr, other.indptr)
+                assert np.array_equal(cached.indices, other.indices)
+                assert cached.data.tobytes() == other.data.tobytes()
+                assert lumped.tobytes() == other_lumped.tobytes()
+        assert assemble(m, 1.0)[0] is not assemble(m, 1.0)[0]
+        assert m.stiffness is m.stiffness
+
 
 class TestConjugateGradient:
     def test_against_dense_solve(self, l_shape):
@@ -54,19 +89,16 @@ class TestConjugateGradient:
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
     def test_identity_system(self):
-        import scipy.sparse as sp
         b = np.array([2.0, -1.0, 0.5])
         x = solve_spd_system(SpdSystem(3, sp.eye(3, format="csr"), b), 1e-12)
         assert np.allclose(x, b, rtol=1e-12)
 
     def test_zero_rhs_short_circuits(self):
-        import scipy.sparse as sp
         x = solve_spd_system(SpdSystem(2, sp.eye(2, format="csr"),
                                        np.zeros(2)), 1e-10)
         assert np.array_equal(x, np.zeros(2))
 
     def test_tolerance_validation(self):
-        import scipy.sparse as sp
         system = SpdSystem(1, sp.eye(1, format="csr"), np.ones(1))
         for bad in (0.0, -1e-8, 2e-4):
             with pytest.raises(ValueError):
@@ -133,6 +165,17 @@ class TestNeumann:
     def test_flags(self, unit_disc):
         field = solve_neumann(triangulate(unit_disc, 0.2), 1.0)
         assert field.boundary_condition == "neumann"
+
+    def test_skyline_converges(self):
+        # Columns of width 0.4 and heights 0.4, 1.2, 0.4, 0.8, 1.2.  Before
+        # smoothing kept an angle floor, a flattened sliver left this system
+        # so ill-conditioned that CG hit its iteration cap.
+        dom = Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.2], [1.6, 1.2],
+                       [1.6, 0.8], [1.2, 0.8], [1.2, 0.4], [0.8, 0.4],
+                       [0.8, 1.2], [0.4, 1.2], [0.4, 0.4], [0.0, 0.4]])
+        m = refine_uniform(triangulate(dom, 0.125), dom)
+        field = solve_neumann(m, 4.0)
+        assert field.resolution_ok and field.values.min() > 0.0
 
 
 class TestResolutionRule:

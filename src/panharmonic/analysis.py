@@ -38,11 +38,15 @@ from .geometry import (Domain, Point2, Polygon, ProbeDisc,
                        distance_to_boundary, domain_to_dict, is_convex_polygon,
                        probe_fits)
 from .mesh import MeshBudgetError, refine_uniform, triangulate
-from .solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
-                     gradient_field, solve_dirichlet)
+from .solver import (CG_TOLERANCE, RESOLUTION_LIMIT, GradientField,
+                     ScalarField, gradient_field, solve_dirichlet)
 
 MARGIN_TOL_FACTOR = 1e-6
 SUPERHARMONIC_TOL = 1e-6
+# Solved values at or below this are solver noise, not the field: with
+# |v| <= 1 the iteration error is about CG_TOLERANCE, so -log(v)/mu there
+# measures the noise.
+RECOVERY_FLOOR = 10.0 * CG_TOLERANCE
 
 VERDICT_HOLDS = "CONDITION_HOLDS"
 VERDICT_FAILS = "CONDITION_FAILS"
@@ -125,6 +129,15 @@ def varadhan_error(field: ScalarField, domain: Domain) -> VaradhanResult:
     gap = np.abs(estimate[interior] - boundary_distance_batch(domain, pts))
     k = int(np.argmax(gap))
     return VaradhanResult(field.mu, float(gap[k]), Point2(*pts[k]))
+
+
+def solved_distance_recovery(field: ScalarField, domain: Domain
+                             ) -> tuple[Optional[VaradhanResult], int]:
+    """varadhan_error of a solved Dirichlet field, and the number of nodes
+    whose value is at or below RECOVERY_FLOOR.  When that number is not 0
+    the recovery is unresolved and the result is None."""
+    below = int(np.count_nonzero(field.values <= RECOVERY_FLOOR))
+    return (None if below else varadhan_error(field, domain)), below
 
 
 def condition_margin(field: ScalarField, grads: GradientField,
@@ -253,8 +266,14 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
     if any(m <= 0.0 for m in mu_list) or any(
             b <= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be positive and strictly ascending")
+    return _sweep_from_mesh(domain, triangulate(domain, target_h), mu_list,
+                            value_rule)
 
-    mesh = triangulate(domain, target_h)
+
+def _sweep_from_mesh(domain: Domain, mesh, mu_list: list,
+                     value_rule: str) -> ConvexityReport:
+    """convexity_sweep from a given starting mesh of the domain; mu_list is
+    already validated."""
     notes = [
         "one-directional check: nonnegative margins at the tested mu "
         "support convexity; a negative margin withholds the certificate "
@@ -276,13 +295,12 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
         field = solve_dirichlet(mesh, mu)
         grads = gradient_field(mesh, field)
         cond_results.append(condition_margin(field, grads, value_rule))
-        try:
-            var_results.append(varadhan_error(field, domain))
-        except NonpositiveFieldError:
-            var_results.append(None)
+        recovery, below = solved_distance_recovery(field, domain)
+        var_results.append(recovery)
+        if recovery is None:
             notes.append(
-                f"distance recovery skipped at mu={mu:g}: deep-interior "
-                "values fall below the double-precision noise floor")
+                f"distance recovery skipped at mu={mu:g}: {below} node "
+                f"values at or below the solver floor {RECOVERY_FLOOR:g}")
         swept.append(mu)
 
     if not cond_results:

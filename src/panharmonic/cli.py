@@ -120,14 +120,14 @@ def _mu_list(args) -> list[float]:
     return [args.mu_start * args.mu_factor ** k for k in range(args.mu_count)]
 
 
-def _target_h(args, mu_max: float, domain) -> float:
+def _initial_mesh(args, mu_max: float, domain):
+    """The starting mesh: triangulated at --target-h, or for 'auto' at
+    RESOLUTION_LIMIT / mu_max, coarsened until it fits the budget."""
     if args.target_h == "auto":
         h = solver.RESOLUTION_LIMIT / mu_max
-        # Clamp to the triangle budget by coarsening until a mesh fits.
         for _ in range(8):
             try:
-                meshing.triangulate(domain, h)
-                return h
+                return meshing.triangulate(domain, h)
             except meshing.MeshBudgetError:
                 h *= 2.0
         raise meshing.MeshBudgetError(
@@ -139,7 +139,7 @@ def _target_h(args, mu_max: float, domain) -> float:
                            f"got {args.target_h!r}")
     if h <= 0:
         raise _ConfigError("--target-h must be positive")
-    return h
+    return meshing.triangulate(domain, h)
 
 
 def _resolve_mesh(m, domain, mu: float):
@@ -156,8 +156,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
-    h = _target_h(args, args.mu, domain)
-    m = meshing.triangulate(domain, h)
+    m = _initial_mesh(args, args.mu, domain)
     field = (solver.solve_neumann if args.neumann else
              solver.solve_dirichlet)(m, args.mu)
     out = _out_dir(args)
@@ -174,7 +173,7 @@ def _cmd_varadhan(args) -> int:
     if not (0.0 < args.rho < 0.5):
         raise _ConfigError("--rho must lie in (0, 1/2)")
     mus = _mu_list(args)
-    m = meshing.triangulate(domain, _target_h(args, mus[-1], domain))
+    m = _initial_mesh(args, mus[-1], domain)
     rows = []
     completed = []
     for mu in mus:
@@ -198,10 +197,16 @@ def _cmd_varadhan(args) -> int:
                          math.nan, field.resolution_ok))
         else:
             field = solver.solve_dirichlet(m, mu)
-            res = analysis.varadhan_error(field, domain)
+            res, below = analysis.solved_distance_recovery(field, domain)
             envelope = analysis.decay_envelope_fit([field], domain, args.rho)
-            rows.append((mu, res.sup_error, res.error_location.x1,
-                         res.error_location.x2, envelope.constant,
+            if res is None:
+                print(f"note: distance recovery skipped at mu={mu:g}: "
+                      f"{below} node values at or below the solver floor "
+                      f"{analysis.RECOVERY_FLOOR:g}")
+                sup, x, y = math.nan, math.nan, math.nan
+            else:
+                sup, (x, y) = res.sup_error, res.error_location
+            rows.append((mu, sup, x, y, envelope.constant,
                          field.resolution_ok))
         completed.append(mu)
     _write_varadhan_csv(_out_dir(args) / "varadhan.csv", rows)
@@ -223,8 +228,8 @@ def _write_varadhan_csv(path, rows) -> None:
 def _cmd_check_convexity(args) -> int:
     domain = _load_domain(args.domain)
     mus = _mu_list(args)
-    h = _target_h(args, mus[-1], domain)
-    report = analysis.convexity_sweep(domain, mus, h, args.value_rule)
+    report = analysis._sweep_from_mesh(
+        domain, _initial_mesh(args, mus[-1], domain), mus, args.value_rule)
     out = _out_dir(args)
     analysis.write_report_json(report, out / "report.json")
     analysis.write_margins_csv(report, out / "margins.csv")

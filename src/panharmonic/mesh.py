@@ -5,6 +5,11 @@ the edge-length target holds, then relaxed by a few guarded Laplacian sweeps
 (interior nodes only).  Discs get a structured concentric web whose boundary
 nodes sit exactly on the circle at every refinement level.
 
+Every mesh built here keeps a CoarseLink to the level it was built from: the
+parent of a uniform refinement (midpoint interpolation), or, for a disc web
+with R rings, the web with ceil(R/2) rings (polar-bilinear interpolation).
+The solver's multigrid preconditioner runs over that chain.
+
 Everything here is deterministic: no randomization, fixed iteration orders,
 and refinement/smoothing that depend only on the input mesh.
 """
@@ -40,16 +45,32 @@ class MeshQuality:
     nonobtuse_fraction: float
 
 
+@dataclass(frozen=True)
+class CoarseLink:
+    """One step down a mesh hierarchy.
+
+    prolongation: (n_fine, n_coarse) CSR interpolation from the coarse
+    level's nodes to this mesh's nodes; every row sums to 1.
+    boundary_node: the coarse level's boundary mask.  coarse: the coarse
+    level's own link, or None.  No coarse Mesh is kept, so coarse meshes
+    and their cached operators are freed as soon as nothing else holds them.
+    """
+    prolongation: sp.csr_matrix
+    boundary_node: np.ndarray
+    coarse: "CoarseLink | None"
+
+
 class Mesh:
     """Immutable triangle mesh with boundary structure.
 
     nodes: (N, 2) float array.  triangles: (M, 3) int array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
     directed so the domain lies on the left; boundary_normals holds the
-    matching outward unit normals.
+    matching outward unit normals.  coarse: the CoarseLink this mesh was
+    built from, or None; fixed at construction.
     """
 
-    def __init__(self, nodes, triangles):
+    def __init__(self, nodes, triangles, coarse: CoarseLink | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -93,6 +114,9 @@ class Mesh:
         self._edge_inverse = inverse
         self._edge_counts = counts
         self._areas = areas
+        self.coarse = coarse
+        # Per-mesh cache of the solver's mu-free coarse-level operators.
+        self.multigrid_levels = {}
 
     @property
     def n_nodes(self) -> int:
@@ -306,7 +330,8 @@ def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
                 break
             blend *= 0.5
         # all blends rejected: keep nodes as they are for this sweep
-    return Mesh(nodes, tris)
+    # Smoothing keeps the topology, so the input's hierarchy still applies.
+    return Mesh(nodes, tris, mesh.coarse)
 
 
 def _disc_web(disc: Disc, target_h: float) -> Mesh:
@@ -339,7 +364,59 @@ def _disc_web(disc: Disc, target_h: float) -> Mesh:
         up = np.stack([outer[:, :k], outer[:, 1:], inner[:, :k]], axis=2)
         down = np.stack([inner[:, 1:k], inner[:, :k - 1], outer[:, 1:k]], axis=2)
         blocks.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
-    return Mesh(nodes, np.concatenate(blocks))
+    return Mesh(nodes, np.concatenate(blocks), _disc_link(rings))
+
+
+def _disc_ring_node(k: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Index of node j (taken modulo 6k) on ring k of a disc web."""
+    return np.where(k == 0, 0, 1 + 3 * k * (k - 1) + j % np.maximum(6 * k, 1))
+
+
+def _disc_prolongation(rings: int, coarse_rings: int) -> sp.csr_matrix:
+    """Polar-bilinear interpolation from the web with coarse_rings rings to
+    the web with rings rings, from ring and index arithmetic alone.
+
+    Fine ring k lies at radius k/R = (k0 + a)/Rc between coarse rings k0
+    and k0 + 1; on each of those, node j of ring k sits between coarse
+    nodes floor(j kc / k) and the next one, at linear weight b.  Each row
+    has four entries (summed where they coincide, at the centre).
+    """
+    n = 1 + 3 * rings * (rings + 1)
+    k = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    k = np.concatenate([[0], k])
+    j = np.arange(n) - np.where(k == 0, 0, 1 + 3 * k * (k - 1))
+    k0 = np.minimum(k * coarse_rings // rings, coarse_rings - 1)
+    a = (k * coarse_rings - k0 * rings) / rings
+    safe_k = np.maximum(k, 1)
+    cols, vals = [], []
+    for kc, radial in ((k0, 1.0 - a), (k0 + 1, a)):
+        jl = j * kc // safe_k
+        b = (j * kc - jl * safe_k) / safe_k
+        cols += [_disc_ring_node(kc, jl), _disc_ring_node(kc, jl + 1)]
+        vals += [radial * (1.0 - b), radial * b]
+    rows = np.tile(np.arange(n, dtype=np.int32), 4)
+    n_coarse = 1 + 3 * coarse_rings * (coarse_rings + 1)
+    p = sp.coo_matrix((np.concatenate(vals),
+                       (rows, np.concatenate(cols).astype(np.int32))),
+                      shape=(n, n_coarse)).tocsr()
+    p.eliminate_zeros()
+    return p
+
+
+def _disc_link(rings: int) -> CoarseLink | None:
+    """The chain R -> ceil(R/2) -> ... -> 1 rings below a web of R rings.
+    Ring counts are odd in general, so webs are not nested; the links
+    interpolate instead (_disc_prolongation)."""
+    counts = [rings]
+    while counts[-1] > 1:
+        counts.append((counts[-1] + 1) // 2)
+    link = None
+    for fine, coarse in reversed(list(zip(counts, counts[1:]))):
+        boundary = np.zeros(1 + 3 * coarse * (coarse + 1), dtype=bool)
+        boundary[-6 * coarse:] = True
+        boundary.setflags(write=False)
+        link = CoarseLink(_disc_prolongation(fine, coarse), boundary, link)
+    return link
 
 
 def triangulate(domain: Domain, target_h: float) -> Mesh:
@@ -396,7 +473,16 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
         np.column_stack([cv, m20, m12]),
         np.column_stack([m01, m12, m20]),
     ])
-    return Mesh(np.concatenate([mesh.nodes, mids]), children)
+    # Midpoint interpolation: the parent's nodes keep their values, each
+    # midpoint takes half of each end of its parent edge.
+    n, n_edges = mesh.n_nodes, uniq.shape[0]
+    prolongation = sp.csr_matrix(
+        (np.concatenate([np.ones(n), np.full(2 * n_edges, 0.5)]),
+         np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
+         np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
+        shape=(n + n_edges, n))
+    link = CoarseLink(prolongation, mesh.boundary_node, mesh.coarse)
+    return Mesh(np.concatenate([mesh.nodes, mids]), children, link)
 
 
 def save_mesh_text(mesh: Mesh, path) -> None:

@@ -7,9 +7,14 @@ system an M-matrix on nonobtuse meshes and makes the discrete bound
 imposed strongly through the lift v = 1 + w with w = 0 on the boundary;
 Neumann data dv/dn = mu enters as the boundary functional mu * integral(phi ds).
 
-The linear solve is plain preconditioned conjugate gradients (diagonal
-preconditioner, zero start, fixed iteration order), deterministic down to
-the last bit for a given assembled system.
+The linear solve is conjugate gradients preconditioned by one symmetric
+V(1,1)-cycle of geometric multigrid over the mesh's own hierarchy (see
+mesh.CoarseLink): Galerkin coarse operators, damped-Jacobi smoothing
+weighted from a Gershgorin bound, and a dense solve once a level has at
+most COARSEST_SIZE free nodes.  A system without a hierarchy and above that
+size falls back to diagonal scaling, i.e. Jacobi-PCG.  Zero start and a
+fixed iteration order keep the result deterministic down to the last bit
+for a given assembled system.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-CG_TOLERANCE = 1e-10
+CG_TOLERANCE = 1e-13
+# Multigrid descends until a level has at most this many free nodes, then
+# solves that level densely.
+COARSEST_SIZE = 500
 # Boundary-layer resolution rule: solves with mu * h_max above this are
 # flagged unreliable (the layer has width ~1/mu and needs a few cells).
 RESOLUTION_LIMIT = 0.5
@@ -69,11 +77,71 @@ class GradientField:
         return np.hypot(self.vectors[:, 0], self.vectors[:, 1])
 
 
+class Multigrid:
+    """One symmetric V(1,1)-cycle as a preconditioner: z = B r.
+
+    levels: (A_l, P_l) from fine to coarse, P_0 = None and P_l the
+    interpolation from level l to level l - 1.  Each level but the
+    coarsest is smoothed by damped Jacobi with omega = 4 / (3 lam), lam
+    the Gershgorin bound max_i sum_j |a_ij| / a_ii >= lambda_max(D^-1 A).
+    The coarsest is solved densely when it has at most COARSEST_SIZE
+    unknowns and scaled by its diagonal otherwise.  The cycle is a loop
+    over the levels, not a recursive closure, so it holds no reference
+    cycle and its memory is returned as soon as the solve drops it.
+    """
+
+    def __init__(self, levels):
+        self.matrices = [a for a, _ in levels]
+        self.prolongations = [p for _, p in levels[1:]]
+        self.smoothers = []
+        for a in self.matrices[:-1]:
+            diag = a.diagonal()
+            row_abs = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
+            omega = 4.0 / (3.0 * float(np.max(row_abs / diag)))
+            self.smoothers.append(omega / diag)
+        coarsest = self.matrices[-1]
+        if coarsest.shape[0] <= COARSEST_SIZE:
+            self._coarsest_solve = np.linalg.inv(coarsest.toarray()).__matmul__
+        else:
+            self._coarsest_solve = (1.0 / coarsest.diagonal()).__mul__
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.matrices)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        # Updates run in place where they can: on large levels a fresh
+        # temporary per vector operation costs as much as the arithmetic.
+        residuals, pre = [], []
+        for a, smooth, p in zip(self.matrices, self.smoothers,
+                                self.prolongations):
+            x = smooth * r
+            residuals.append(r)
+            pre.append(x)
+            defect = a @ x
+            np.subtract(r, defect, out=defect)
+            r = p.T @ defect
+        x = self._coarsest_solve(r)
+        for level in reversed(range(len(self.smoothers))):
+            a, smooth = self.matrices[level], self.smoothers[level]
+            x = self.prolongations[level] @ x
+            x += pre[level]
+            defect = a @ x
+            np.subtract(residuals[level], defect, out=defect)
+            defect *= smooth
+            x += defect
+        return x
+
+
 @dataclass(frozen=True)
 class SpdSystem:
+    """A x = b with A symmetric positive definite.  preconditioner: the
+    Multigrid cycle to use; None means the single-level cycle built from
+    the matrix itself (dense below COARSEST_SIZE, Jacobi above)."""
     dimension: int
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    preconditioner: Multigrid | None = None
 
 
 def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -90,7 +158,10 @@ def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
-    """Preconditioned conjugate gradients, zero start, Jacobi preconditioner.
+    """Preconditioned conjugate gradients, zero start, multigrid
+    preconditioner (system.preconditioner, or the single-level cycle of
+    the matrix: with no hierarchy above COARSEST_SIZE unknowns this is
+    Jacobi-PCG).
 
     Returns x with ||b - A x|| <= tol * ||b||.  Deterministic.  The cap of
     20 * sqrt(dimension) iterations is generous for the systems assembled
@@ -102,10 +173,10 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(system.dimension)
-    inv_diag = 1.0 / a.diagonal()
+    precondition = system.preconditioner or Multigrid([(a, None)])
     x = np.zeros(system.dimension)
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     cap = max(1, math.ceil(20.0 * math.sqrt(system.dimension)))
@@ -114,14 +185,54 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        if float(np.linalg.norm(r)) <= tol * b_norm:
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol * b_norm:
             return x
-        z = inv_diag * r
+        z = precondition(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise ConvergenceError(
-        f"conjugate gradients did not reach tol={tol:g} within {cap} iterations")
+        f"conjugate gradients did not reach tol={tol:g} within {cap} "
+        f"iterations: final relative residual {r_norm / b_norm:.3e}, "
+        f"{precondition.n_levels} multigrid level(s)")
+
+
+def _coarse_levels(mesh, free: np.ndarray | None) -> list:
+    """The mu-free coarse operators below mesh: one (P_l, K_l, m_l) per
+    level, with K_l = P_l^T K_{l-1} P_l (Galerkin) and m_l = P_l^T m_{l-1}
+    (lumped), restricted to the free nodes (free=None: all nodes free).
+    Descends mesh.coarse until a level has at most COARSEST_SIZE free
+    nodes.  Cached on the mesh per free set; the fine level is not."""
+    key = "neumann" if free is None else "dirichlet"
+    if key in mesh.multigrid_levels:
+        return mesh.multigrid_levels[key]
+    k, m = mesh.stiffness, mesh.lumped_mass
+    if free is not None:
+        k, m = k[free][:, free], m[free]
+    levels = []
+    link = mesh.coarse
+    while link is not None and k.shape[0] > COARSEST_SIZE:
+        p = link.prolongation
+        coarse_free = None if free is None else ~link.boundary_node
+        if free is not None:
+            p = p[free][:, coarse_free].tocsr()
+        k = p.T.tocsr() @ (k @ p)
+        m = p.T @ m
+        levels.append((p, k, m))
+        free, link = coarse_free, link.coarse
+    mesh.multigrid_levels[key] = levels
+    return levels
+
+
+def _multigrid(mesh, mu: float, matrix: sp.csr_matrix,
+               free: np.ndarray | None) -> Multigrid:
+    """The V-cycle for the fine system matrix on mesh at this mu: each
+    coarse level is K_l + mu^2 diag(m_l)."""
+    levels = [(matrix, None)]
+    for p, k, m in _coarse_levels(mesh, free):
+        levels.append((k + sp.diags(mu * mu * m, format="csr"), p))
+    return Multigrid(levels)
 
 
 def _check_resolution(mesh, mu: float) -> bool:
@@ -149,7 +260,9 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
         raise ValueError("mesh has no interior nodes")
     a_ii = operator[interior][:, interior].tocsr()
     rhs = -(operator @ np.ones(mesh.n_nodes))[interior]
-    w = solve_spd_system(SpdSystem(int(a_ii.shape[0]), a_ii, rhs), CG_TOLERANCE)
+    w = solve_spd_system(
+        SpdSystem(int(a_ii.shape[0]), a_ii, rhs,
+                  _multigrid(mesh, mu, a_ii, interior)), CG_TOLERANCE)
     values = np.ones(mesh.n_nodes)
     values[interior] += w
     return ScalarField(mesh, mu, values, resolution_ok, "dirichlet")
@@ -170,8 +283,9 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
     trace = np.zeros(mesh.n_nodes)
     np.add.at(trace, be[:, 0], half_len)
     np.add.at(trace, be[:, 1], half_len)
-    v = solve_spd_system(SpdSystem(mesh.n_nodes, operator, mu * trace),
-                         CG_TOLERANCE)
+    v = solve_spd_system(
+        SpdSystem(mesh.n_nodes, operator, mu * trace,
+                  _multigrid(mesh, mu, operator, None)), CG_TOLERANCE)
     return ScalarField(mesh, mu, v, resolution_ok, "neumann")
 
 

@@ -56,10 +56,12 @@ ANALYTIC_SUP = {
 
 # FEM distance-recovery sups on the square at h = sqrt(2)/128 (regression
 # pins; the criterion itself only needs monotone decay and < 0.1 at 40).
+# Taken from a sparse LU solve of A_II v_I = -A_IB 1, i.e. the discrete
+# solution itself, not any iterative solver's approximation of it.
 FEM_SUP = {
-    10.0: 0.13241366616555744,
-    20.0: 0.06952325346203059,
-    40.0: 0.036702158996316236,
+    10.0: 0.13241366614617545,
+    20.0: 0.06952324874439347,
+    40.0: 0.036668105241497995,
 }
 
 
@@ -149,6 +151,28 @@ def test_criterion_05_distance_recovery_fem():
     assert sups[0] > sups[1] > sups[2]
     assert sups[-1] < 0.1
     assert time.perf_counter() - start < 120.0
+
+
+def test_criterion_05_fem_sup_matches_direct_solve():
+    # The oracle behind FEM_SUP: the same discrete problem solved by sparse
+    # LU in the test, on the values v themselves.
+    from scipy.sparse.linalg import splu
+
+    square = unit_square()
+    m = meshing.triangulate(square, 0.5 / 40.0)
+    interior = ~m.boundary_node
+    for mu in (10.0, 20.0, 40.0):
+        operator, _ = solver.assemble(m, mu)
+        a_ii = operator[interior][:, interior].tocsc()
+        a_ib = operator[interior][:, ~interior]
+        values = np.ones(m.n_nodes)
+        values[interior] = splu(a_ii).solve(
+            -(a_ib @ np.ones(a_ib.shape[1])))
+        direct = varadhan_error(
+            solver.ScalarField(m, mu, values, True, "dirichlet"), square)
+        assert direct.sup_error == pytest.approx(FEM_SUP[mu], rel=1e-9)
+        iterative = varadhan_error(solver.solve_dirichlet(m, mu), square)
+        assert iterative.sup_error == pytest.approx(direct.sup_error, rel=1e-7)
 
 
 def _analytic_min_margin(mu: float) -> float:

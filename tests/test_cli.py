@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from panharmonic import cli
+from panharmonic import analysis, cli
+from panharmonic import mesh as meshing
 from panharmonic.geometry import dump_domain, l_shape, unit_disc, unit_square
 
 
@@ -72,6 +73,18 @@ class TestVaradhan:
         row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
         assert row[4] == "nan"  # no envelope for flux data
 
+    def test_unresolved_dirichlet_row(self, domains, tmp_path, capsys):
+        # At mu = 40 the disc's deep-interior values (about 1e-16) sit below
+        # the solver floor: the row is kept, its recovery reads nan.
+        out = tmp_path / "vu"
+        code = _run(["varadhan", "--domain", domains["disc"], "--mu", "40",
+                     "--target-h", "0.012", "--output-dir", str(out)])
+        assert code == 0
+        assert "distance recovery skipped at mu=40" in capsys.readouterr().out
+        row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
+        assert row[1:4] == ["nan", "nan", "nan"]
+        assert float(row[4]) >= 1.0
+
     def test_budget_truncates_with_exit_1(self, domains, tmp_path, capsys):
         out = tmp_path / "vb"
         code = _run(["varadhan", "--domain", domains["disc"],
@@ -116,6 +129,24 @@ class TestCheckConvexity:
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "CONDITION_HOLDS"
         assert report["results"][0]["resolution_ok"] is True
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mu", "8"], ["varadhan", "--mu", "4", "--mu", "8"],
+        ["check-convexity", "--mu", "4", "--mu", "8"]])
+    def test_auto_target_meshes_once(self, command, domains, tmp_path,
+                                     monkeypatch):
+        calls = []
+        plain = meshing.triangulate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(meshing, "triangulate", counted)
+        monkeypatch.setattr(analysis, "triangulate", counted)
+        assert _run(command + ["--domain", domains["disc"],
+                               "--output-dir", str(tmp_path / "o")]) == 0
+        assert calls == [0.5 / 8.0]
 
     def test_reruns_byte_identical(self, domains, tmp_path):
         outs = []

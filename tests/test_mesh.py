@@ -15,8 +15,8 @@ from panharmonic.geometry import (Polygon, unit_disc, unit_square, l_shape,
                                   regular_polygon)
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
                               _ear_clip, _edge_topology, _neighbor_means,
-                              mesh_quality, refine_uniform, save_mesh_text,
-                              triangulate)
+                              _smooth, mesh_quality, refine_uniform,
+                              save_mesh_text, triangulate)
 
 
 def skyline(heights, step=0.4) -> Polygon:
@@ -273,3 +273,69 @@ class TestFastPaths:
         np.add.at(cnt, edges.ravel(), 1.0)
         ref = acc / cnt[:, None]
         assert _neighbor_means(m.nodes, edges).tobytes() == ref.tobytes()
+
+
+def _disc_web_nodes(rings):
+    return 1 + 3 * rings * (rings + 1)
+
+
+class TestHierarchy:
+    """The coarse links that meshes keep for the multigrid solver."""
+
+    @pytest.mark.parametrize("name", ["l_shape", "square", "heptagon"])
+    def test_polygon_prolongation_is_refinement(self, name):
+        dom = {"l_shape": l_shape(), "square": unit_square(),
+               "heptagon": regular_polygon(7, radius=1.0)}[name]
+        m = Mesh(dom.vertices, _ear_clip(dom.vertices))
+        assert m.coarse is None
+        chain = [m]
+        for _ in range(3):
+            chain.append(refine_uniform(chain[-1], dom))
+        for coarse, fine in zip(chain, chain[1:]):
+            link = fine.coarse
+            assert link.prolongation.shape == (fine.n_nodes, coarse.n_nodes)
+            assert (link.prolongation @ coarse.nodes).tobytes() == fine.nodes.tobytes()
+            assert np.array_equal(link.boundary_node, coarse.boundary_node)
+            assert link.coarse is coarse.coarse
+        smoothed = _smooth(chain[-1], 1.5 * chain[-1].h_max)
+        assert smoothed.coarse is chain[-1].coarse
+
+    def test_triangulate_keeps_chain_to_ear_clip(self, l_shape):
+        m = triangulate(l_shape, 0.05)
+        depth, link = 0, m.coarse
+        while link.coarse is not None:
+            depth, link = depth + 1, link.coarse
+        # The bottom of the chain interpolates from the ear-clip mesh.
+        assert link.prolongation.shape[1] == len(l_shape.vertices)
+        assert depth + 1 == 5  # ear clip, then five uniform refinements
+
+    @pytest.mark.parametrize("target_h", [0.5, 0.1, 0.0106, 0.00265])
+    def test_disc_prolongation(self, target_h, unit_disc):
+        m = triangulate(unit_disc, target_h)
+        rings = math.isqrt(m.n_triangles // 6)
+        link, fine_boundary = m.coarse, m.boundary_node
+        while link is not None:
+            coarse_rings = (rings + 1) // 2
+            p = link.prolongation
+            n_coarse = _disc_web_nodes(coarse_rings)
+            assert p.shape == (_disc_web_nodes(rings), n_coarse)
+            assert np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0).max() <= 1e-15
+            assert p.data.min() > 0.0
+            expected = np.zeros(n_coarse, dtype=bool)
+            expected[-6 * coarse_rings:] = True
+            assert np.array_equal(link.boundary_node, expected)
+            # Boundary values come from the coarse boundary alone, so the
+            # Dirichlet restriction drops nothing from them.
+            assert p[fine_boundary][:, ~link.boundary_node].nnz == 0
+            rings, fine_boundary, link = coarse_rings, link.boundary_node, link.coarse
+        assert rings == 1
+
+    def test_disc_prolongation_interpolates_radius(self, unit_disc):
+        # The radius is linear across rings and constant along them, so
+        # polar-bilinear interpolation reproduces it.
+        m = triangulate(unit_disc, 0.05)
+        coarse_rings = (math.isqrt(m.n_triangles // 6) + 1) // 2
+        ring = np.arange(1, coarse_rings + 1)
+        radius = np.concatenate([[0.0], np.repeat(ring, 6 * ring) / coarse_rings])
+        interp = m.coarse.prolongation @ radius
+        assert np.abs(interp - np.hypot(*m.nodes.T)).max() < 1e-14

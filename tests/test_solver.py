@@ -6,13 +6,17 @@ radial solutions on the disc (whose Bessel evaluator is itself verified
 against extended precision in test_special).
 """
 
+import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from panharmonic import solver
 from panharmonic.geometry import unit_disc, unit_square, l_shape
 from panharmonic.geometry import Polygon
 from panharmonic.mesh import Mesh, triangulate, refine_uniform
@@ -98,6 +102,18 @@ class TestConjugateGradient:
                                        np.zeros(2)), 1e-10)
         assert np.array_equal(x, np.zeros(2))
 
+    def test_cap_error_names_residual_and_levels(self):
+        # 1-D Laplacian without a hierarchy: Jacobi-PCG needs about n
+        # iterations, more than the cap of 20 sqrt(n).
+        n = 600
+        a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1], format="csr")
+        with pytest.raises(ConvergenceError,
+                           match=r"within 490 iterations: final relative "
+                                 r"residual \d\.\d{3}e[-+]\d+, 1 multigrid level"):
+            solve_spd_system(SpdSystem(
+                n, a, np.random.default_rng(5).standard_normal(n)), 1e-12)
+
     def test_tolerance_validation(self):
         system = SpdSystem(1, sp.eye(1, format="csr"), np.ones(1))
         for bad in (0.0, -1e-8, 2e-4):
@@ -176,6 +192,115 @@ class TestNeumann:
         m = refine_uniform(triangulate(dom, 0.125), dom)
         field = solve_neumann(m, 4.0)
         assert field.resolution_ok and field.values.min() > 0.0
+
+
+class _CountingMatrix:
+    """Counts the conjugate-gradient products a @ p; the multigrid cycle
+    works on its own copies of the operators, so it is not counted."""
+
+    def __init__(self, matrix, counter):
+        self._matrix, self._counter = matrix, counter
+
+    def __getattr__(self, name):
+        return getattr(self._matrix, name)
+
+    def __matmul__(self, x):
+        self._counter.append(1)
+        return self._matrix @ x
+
+
+def _iterations(monkeypatch, solve, mesh, mu):
+    counter = []
+    plain = solver.solve_spd_system
+
+    def counted(system, tol):
+        return plain(dataclasses.replace(
+            system, matrix=_CountingMatrix(system.matrix, counter)), tol)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "solve_spd_system", counted)
+        solve(mesh, mu)
+    return len(counter)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("name", ["l_shape", "square", "disc"])
+    def test_iterations_do_not_grow_with_refinement(self, name, monkeypatch):
+        dom = {"l_shape": l_shape(), "square": unit_square(),
+               "disc": unit_disc()}[name]
+        m = triangulate(dom, 0.05)
+        counts = {solve_dirichlet: [], solve_neumann: []}
+        for level in range(4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ResolutionWarning)
+                for solve, seen in counts.items():
+                    seen.append(_iterations(monkeypatch, solve, m, 10.0))
+            if level < 3:
+                m = refine_uniform(m, dom)
+        for seen in counts.values():
+            assert max(seen) <= 45
+            assert seen[-1] - seen[-2] <= 4
+
+    @staticmethod
+    def direct_dirichlet(m, mu):
+        from scipy.sparse.linalg import spsolve
+        operator, _ = assemble(m, mu)
+        interior = ~m.boundary_node
+        values = np.ones(m.n_nodes)
+        values[interior] = spsolve(
+            operator[interior][:, interior].tocsc(),
+            -(operator[interior][:, ~interior] @ np.ones(np.count_nonzero(~interior))))
+        return values
+
+    @pytest.mark.parametrize("name", ["l_shape", "disc"])
+    def test_dirichlet_matches_direct_solve(self, name):
+        dom = l_shape() if name == "l_shape" else unit_disc()
+        m = refine_uniform(triangulate(dom, 0.05), dom)
+        got = solve_dirichlet(m, 10.0).values
+        ref = self.direct_dirichlet(m, 10.0)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_neumann_matches_direct_solve(self, l_shape):
+        from scipy.sparse.linalg import spsolve
+        m = refine_uniform(triangulate(l_shape, 0.05), l_shape)
+        got = solve_neumann(m, 10.0).values
+        operator, _ = assemble(m, 10.0)
+        be = m.boundary_edges
+        half = 0.5 * np.hypot(*(m.nodes[be[:, 1]] - m.nodes[be[:, 0]]).T)
+        trace = np.zeros(m.n_nodes)
+        np.add.at(trace, be[:, 0], half)
+        np.add.at(trace, be[:, 1], half)
+        ref = spsolve(operator.tocsc(), 10.0 * trace)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_coarse_operators_cached_per_mesh(self, unit_disc):
+        m = triangulate(unit_disc, 0.02)
+        solve_dirichlet(m, 2.0)
+        levels = m.multigrid_levels["dirichlet"]
+        solve_dirichlet(m, 5.0)
+        assert m.multigrid_levels["dirichlet"] is levels
+        assert len(levels) >= 2
+        assert levels[-1][1].shape[0] <= solver.COARSEST_SIZE
+        assert all(k.shape[0] > solver.COARSEST_SIZE for _, k, _ in levels[:-1])
+
+    def test_preconditioner_freed_after_solve(self, l_shape, monkeypatch):
+        m = refine_uniform(triangulate(l_shape, 0.05), l_shape)
+        refs = []
+        plain = solver.solve_spd_system
+
+        def spy(system, tol):
+            refs.append(weakref.ref(system.preconditioner))
+            return plain(system, tol)
+
+        monkeypatch.setattr(solver, "solve_spd_system", spy)
+        gc.disable()
+        try:
+            solve_dirichlet(m, 10.0)
+            solve_neumann(m, 10.0)
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestResolutionRule:

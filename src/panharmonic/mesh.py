@@ -153,38 +153,72 @@ class Mesh:
 
         grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
         """
-        p = self.nodes[self.triangles]
-        e = np.empty_like(p)  # e[:, i] = p_{i+2} - p_{i+1}
-        for i in range(3):
-            e[:, i] = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        areas = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
-        grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
+        x, y = _corner_coordinates(self.nodes, self.triangles)
+        # Column i holds p_{i+2} - p_{i+1}.
+        ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+        ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+        areas = 0.5 * (ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2])
+        twice = (2.0 * areas)[:, None]
+        grads = np.stack([-ey / twice, ex / twice], axis=2)
         grads.setflags(write=False)
         areas.setflags(write=False)
         return grads, areas
 
     @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """P1 stiffness matrix K, verified to be exactly symmetric:
-        per-triangle blocks are symmetric and duplicate summation order is
-        identical for (i, j) and (j, i).  Its arrays are read-only."""
+    def stiffness_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of the P1 stiffness matrix K, one per unique edge and
+        one per node: (off, diag) with shapes (E,) and (N,), read-only.
+
+        off[e] is K at both (lo, hi) and (hi, lo) of _edges_unique[e]: the
+        sum over the one or two triangles sharing the edge of
+        A_t grad(lambda_lo).grad(lambda_hi), i.e. -(cot a + cot b) / 2 for
+        the angles a, b opposite it.  K is an M-matrix exactly when no off[e]
+        is positive.  diag[i] sums A_t |grad(lambda_i)|^2 over the triangles
+        at node i, in triangle order.
+        """
         grads, areas = self.hat_gradients
-        n = self.n_nodes
-        # Indices in the dtype scipy stores them in, so that the coordinate
-        # arrays (9 entries per triangle) are not built in int64 and then
-        # copied: that copy set the peak memory of a sweep.
-        tri = self.triangles.astype(np.int32 if n <= np.iinfo(np.int32).max
-                                    else np.int64)
-        local = np.einsum("tik,tjk->tij", grads, grads) * areas[:, None, None]
-        rows = np.repeat(tri, 3, axis=1).ravel()           # i index, 9 per triangle
-        cols = np.tile(tri, (1, 3)).ravel()                # j index
-        k = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        skew = k - k.T
-        if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
-            raise AssertionError("stiffness matrix is not exactly symmetric")
-        for arr in (k.data, k.indices, k.indptr):
-            arr.setflags(write=False)
-        return k
+        # Products on the sides 01, 12, 20 of each triangle, ordered by side
+        # first as _edge_inverse is.
+        sides = np.einsum("tbk,tbk->tb", grads, grads[:, [1, 2, 0]]) * areas[:, None]
+        off = np.bincount(self._edge_inverse, weights=sides.T.ravel(),
+                          minlength=self._edges_unique.shape[0])
+        corners = np.einsum("tbk,tbk->tb", grads, grads) * areas[:, None]
+        diag = np.bincount(self.triangles.ravel(), weights=corners.ravel(),
+                           minlength=self.n_nodes)
+        off.setflags(write=False)
+        diag.setflags(write=False)
+        return off, diag
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """P1 stiffness matrix K on all nodes (see stiffness_weights),
+        verified to be exactly symmetric.  Its arrays are read-only."""
+        off, diag = self.stiffness_weights
+        return _symmetric_csr(self._edges_unique, off, diag)
+
+    @cached_property
+    def interior_stiffness(self) -> sp.csr_matrix:
+        """The block of K on the interior nodes, in node order, built from
+        the edges whose two ends are interior; equal to K[I][:, I].
+        Verified to be exactly symmetric.  Its arrays are read-only."""
+        interior = ~self.boundary_node
+        off, diag = self.stiffness_weights
+        edges = self._edges_unique
+        keep = interior[edges[:, 0]] & interior[edges[:, 1]]
+        # Renumbering preserves order, so the kept edges stay sorted.
+        renumber = np.cumsum(interior) - 1
+        return _symmetric_csr(renumber[edges[keep]], off[keep], diag[interior])
+
+    @cached_property
+    def stiffness_row_sums(self) -> np.ndarray:
+        """K @ 1 from the edge weights: zero up to rounding, kept for the
+        Dirichlet lift.  Read-only."""
+        off, diag = self.stiffness_weights
+        edges = self._edges_unique
+        sums = (diag + np.bincount(edges[:, 0], weights=off, minlength=self.n_nodes)
+                + np.bincount(edges[:, 1], weights=off, minlength=self.n_nodes))
+        sums.setflags(write=False)
+        return sums
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
@@ -195,6 +229,50 @@ class Mesh:
         np.add.at(lumped, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
         lumped.setflags(write=False)
         return lumped
+
+
+def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
+                   diag: np.ndarray) -> sp.csr_matrix:
+    """The symmetric CSR matrix with diagonal diag and off[e] at both
+    (lo, hi) and (hi, lo) of edges[e], for edges sorted by (lo, hi) with
+    lo < hi.  Exact zeros in off are not stored.  Raises AssertionError
+    unless the result is exactly symmetric; its arrays are read-only.
+
+    The edges are the upper half in CSR order already; the lower half is
+    their transpose (one counting pass, rows sorted by column), and row i
+    is its lower entries, then the diagonal, then its upper entries.
+    """
+    n = diag.shape[0]
+    keep = off != 0.0
+    lo, hi, off = edges[keep, 0], edges[keep, 1], off[keep]
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n), out=upper_ptr[1:])
+    lower = sp.csr_matrix((off, hi.astype(index), upper_ptr),
+                          shape=(n, n)).T.tocsr()
+    lower_ptr = lower.indptr.astype(np.int64)
+    rows = np.arange(n)
+    # Each half keeps its order and sits just before or just after the
+    # diagonal of its row.
+    diag_at = lower_ptr[1:] + upper_ptr[:-1] + rows
+    edge = np.arange(off.shape[0])
+    lower_at = edge + np.repeat(diag_at - lower_ptr[1:], np.diff(lower_ptr))
+    upper_at = edge + np.repeat(diag_at + 1 - upper_ptr[:-1], np.diff(upper_ptr))
+
+    nnz = n + 2 * off.shape[0]
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    data[lower_at], indices[lower_at] = lower.data, lower.indices
+    data[diag_at], indices[diag_at] = diag, rows
+    data[upper_at], indices[upper_at] = off, hi
+    indptr = (lower_ptr + upper_ptr + np.arange(n + 1)).astype(index)
+    k = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    skew = k - k.T
+    if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
+        raise AssertionError("stiffness matrix is not exactly symmetric")
+    for arr in (k.data, k.indices, k.indptr):
+        arr.setflags(write=False)
+    return k
 
 
 def _edge_topology(triangles: np.ndarray, n_nodes: int):
@@ -217,11 +295,15 @@ def _edge_topology(triangles: np.ndarray, n_nodes: int):
     return directed, uniq, inverse, counts
 
 
+def _corner_coordinates(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, 3) x and y coordinates of each triangle's corners."""
+    return nodes[:, 0][triangles], nodes[:, 1][triangles]
+
+
 def _signed_areas(nodes, triangles) -> np.ndarray:
-    p = nodes[triangles]
-    u = p[:, 1] - p[:, 0]
-    v = p[:, 2] - p[:, 0]
-    return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    x, y = _corner_coordinates(nodes, triangles)
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def _angles_and_sides(nodes, triangles):

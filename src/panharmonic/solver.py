@@ -7,6 +7,13 @@ system an M-matrix on nonobtuse meshes and makes the discrete bound
 imposed strongly through the lift v = 1 + w with w = 0 on the boundary;
 Neumann data dv/dn = mu enters as the boundary functional mu * integral(phi ds).
 
+Operators come from the mu-free pieces each mesh caches (mesh.Mesh): the
+stiffness K, built from one weight per unique edge plus a diagonal summed
+in triangle order, its interior block K_II, its row sums K 1 and the
+lumped mass m.  A Neumann solve uses A = K + mu^2 diag(m).  A Dirichlet
+solve uses A_II = K_II + mu^2 diag(m_I) with right-hand side
+-(K 1 + mu^2 m)_I, so it never builds the full K or A.
+
 The linear solve is conjugate gradients preconditioned by one symmetric
 V(1,1)-cycle of geometric multigrid over the mesh's own hierarchy (see
 mesh.CoarseLink): Galerkin coarse operators, damped-Jacobi smoothing
@@ -147,14 +154,25 @@ class SpdSystem:
 def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
     """Assemble the operator A = K + mu^2 diag(m) and return (A, m).
 
-    K is the P1 stiffness matrix, m the lumped mass vector (one third of
-    the adjacent triangle area per node); both are built once per mesh and
-    cached on it (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is
-    read-only.  A is exactly symmetric: K is verified to be, and the added
-    term is diagonal.
+    K is the P1 stiffness matrix, built from one weight per unique edge
+    plus a diagonal summed in triangle order, with exact zeros not stored;
+    m is the lumped mass vector (one third of the adjacent triangle area
+    per node).  Both are built once per mesh and cached on it
+    (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is read-only.  A is
+    exactly symmetric: K is verified to be, and the added term is diagonal.
+    Dirichlet solves do not go through here: they use the interior block
+    ``Mesh.interior_stiffness`` and never build the full A.
     """
     lumped = mesh.lumped_mass
-    return mesh.stiffness + sp.diags(mu * mu * lumped, format="csr"), lumped
+    return _shift_diagonal(mesh.stiffness, mu * mu * lumped), lumped
+
+
+def _shift_diagonal(k: sp.csr_matrix, shift: np.ndarray) -> sp.csr_matrix:
+    """k + diag(shift) for a CSR k that stores its whole diagonal: a copy
+    of k with the same structure, each diagonal entry k_ii + shift_i."""
+    a = k.copy()
+    a.setdiag(k.diagonal() + shift)
+    return a
 
 
 def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
@@ -180,17 +198,23 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
     p = z.copy()
     rz = float(r @ z)
     cap = max(1, math.ceil(20.0 * math.sqrt(system.dimension)))
+    # Every update runs in place: the product a @ p is the only fresh vector
+    # per iteration besides the preconditioner's, and its buffer is reused
+    # for both scaled updates once p @ ap is taken.
     for _ in range(cap):
         ap = a @ p
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * b_norm:
             return x
         z = precondition(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise ConvergenceError(
         f"conjugate gradients did not reach tol={tol:g} within {cap} "
@@ -201,15 +225,17 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
 def _coarse_levels(mesh, free: np.ndarray | None) -> list:
     """The mu-free coarse operators below mesh: one (P_l, K_l, m_l) per
     level, with K_l = P_l^T K_{l-1} P_l (Galerkin) and m_l = P_l^T m_{l-1}
-    (lumped), restricted to the free nodes (free=None: all nodes free).
+    (lumped), restricted to the free nodes: the interior nodes, starting
+    from Mesh.interior_stiffness, or all nodes for free=None.
     Descends mesh.coarse until a level has at most COARSEST_SIZE free
     nodes.  Cached on the mesh per free set; the fine level is not."""
     key = "neumann" if free is None else "dirichlet"
     if key in mesh.multigrid_levels:
         return mesh.multigrid_levels[key]
-    k, m = mesh.stiffness, mesh.lumped_mass
-    if free is not None:
-        k, m = k[free][:, free], m[free]
+    if free is None:
+        k, m = mesh.stiffness, mesh.lumped_mass
+    else:
+        k, m = mesh.interior_stiffness, mesh.lumped_mass[free]
     levels = []
     link = mesh.coarse
     while link is not None and k.shape[0] > COARSEST_SIZE:
@@ -251,15 +277,17 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
     """Solve lap(v) = mu^2 v with v = 1 on the boundary.
 
     Implemented through the lift v = 1 + w: boundary values are exactly 1,
-    and w solves the interior system with right-hand side -(A @ 1).
+    and w solves A_II w = -(A @ 1)_I on the interior nodes I, with
+    A_II = K_II + mu^2 diag(m_I) and A @ 1 = K @ 1 + mu^2 m from the
+    cached row sums of K.  The full K and A are never built here.
     """
     resolution_ok = _check_resolution(mesh, mu)
-    operator, _ = assemble(mesh, mu)
     interior = ~mesh.boundary_node
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
-    a_ii = operator[interior][:, interior].tocsr()
-    rhs = -(operator @ np.ones(mesh.n_nodes))[interior]
+    shift = mu * mu * mesh.lumped_mass[interior]
+    a_ii = _shift_diagonal(mesh.interior_stiffness, shift)
+    rhs = -(mesh.stiffness_row_sums[interior] + shift)
     w = solve_spd_system(
         SpdSystem(int(a_ii.shape[0]), a_ii, rhs,
                   _multigrid(mesh, mu, a_ii, interior)), CG_TOLERANCE)

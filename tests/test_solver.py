@@ -15,10 +15,12 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from panharmonic import solver
 from panharmonic.geometry import unit_disc, unit_square, l_shape
-from panharmonic.geometry import Polygon
+from panharmonic.geometry import Polygon, regular_polygon
 from panharmonic.mesh import Mesh, triangulate, refine_uniform
 from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 ConvergenceError, ResolutionWarning,
@@ -27,6 +29,13 @@ from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 solve_dirichlet, solve_neumann,
                                 solve_spd_system)
 from panharmonic.special import bessel_i0, bessel_i1, log_bessel_i0
+
+
+def assert_same_csr(a, b):
+    """Same structure and bit-identical values."""
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestAssembly:
@@ -47,9 +56,11 @@ class TestAssembly:
         assert eigs.min() > 0.0
 
     @staticmethod
-    def assemble_reference(mesh, mu):
-        """Everything rebuilt from the nodes, as assembly did before the
-        mu-free pieces were cached on the mesh."""
+    def assemble_reference(mesh):
+        """Gradients, stiffness and lumped mass rebuilt from the nodes the
+        way assembly used to: (M, 3, 2) gradients from a strided gather,
+        9 entries per triangle summed by coo -> csr, and in-test loop sums
+        of the diagonal in triangle order.  Returns (grads, K, diag, m)."""
         p = mesh.nodes[mesh.triangles]
         e = np.empty_like(p)
         for i in range(3):
@@ -61,23 +72,98 @@ class TestAssembly:
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
         stiffness = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        stiffness.eliminate_zeros()
+        diag = [0.0] * n
+        for t, corners in enumerate(tri.tolist()):
+            for i, node in enumerate(corners):
+                diag[node] += float(local[t, i, i])
         lumped = np.zeros(n)
         np.add.at(lumped, tri.ravel(), np.repeat(areas / 3.0, 3))
-        return stiffness + sp.diags(mu * mu * lumped, format="csr"), lumped
+        return grads, stiffness, np.array(diag), lumped
 
     def test_cached_assembly_is_bit_identical(self, l_shape):
+        # Off-diagonals match the coo reference bit for bit (one or two
+        # terms per edge, so summation order cannot matter); the diagonal
+        # matches a loop sum in triangle order.  coo -> csr sums the
+        # diagonal's duplicates in its own order, which moves a few ulp.
         m = triangulate(l_shape, 0.1)
+        grads, ref_k, ref_diag, ref_lumped = self.assemble_reference(m)
+        assert m.hat_gradients[0].tobytes() == grads.tobytes()
+        p = m.nodes[m.triangles]
+        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        signed = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+        assert m.triangle_areas().tobytes() == signed.tobytes()
+        k = m.stiffness
+        assert np.array_equal(k.indptr, ref_k.indptr)
+        assert np.array_equal(k.indices, ref_k.indices)
+        off = k.indices != np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
+        assert k.data[off].tobytes() == ref_k.data[off].tobytes()
+        assert k.diagonal().tobytes() == ref_diag.tobytes()
+        ref_k.setdiag(ref_diag)
         for mu in (0.5, 3.0, 40.0, 3.0):
             cached, lumped = assemble(m, mu)
             fresh, fresh_lumped = assemble(Mesh(m.nodes, m.triangles), mu)
-            ref, ref_lumped = self.assemble_reference(m, mu)
+            ref = ref_k + sp.diags(mu * mu * ref_lumped, format="csr")
             for other, other_lumped in ((fresh, fresh_lumped), (ref, ref_lumped)):
-                assert np.array_equal(cached.indptr, other.indptr)
-                assert np.array_equal(cached.indices, other.indices)
-                assert cached.data.tobytes() == other.data.tobytes()
+                assert_same_csr(cached, other)
                 assert lumped.tobytes() == other_lumped.tobytes()
         assert assemble(m, 1.0)[0] is not assemble(m, 1.0)[0]
         assert m.stiffness is m.stiffness
+
+    @pytest.mark.parametrize("name", ["l_shape", "disc", "square", "heptagon"])
+    def test_interior_block_is_the_slice(self, name):
+        dom = {"l_shape": l_shape(), "disc": unit_disc(),
+               "square": unit_square(),
+               "heptagon": regular_polygon(7, radius=1.0)}[name]
+        m = triangulate(dom, 0.05)
+        interior = ~m.boundary_node
+        assert_same_csr(m.interior_stiffness, m.stiffness[interior][:, interior])
+        k_max = np.abs(m.stiffness.data).max()
+        assert np.abs(m.stiffness_row_sums).max() <= 1e-12 * k_max
+
+    @pytest.mark.parametrize("name", ["square", "disc"])
+    def test_nonobtuse_meshes_give_m_matrices(self, name):
+        # The M-matrix half of the discrete maximum principle: no edge
+        # weight -(cot a + cot b) / 2 is positive.
+        dom = unit_square() if name == "square" else unit_disc()
+        for h in (0.2, 0.05, 0.01):
+            m = triangulate(dom, h)
+            off, _ = m.stiffness_weights
+            assert np.count_nonzero(off > 0.0) == 0
+            k = m.stiffness
+            rows = np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
+            assert np.all(k.data[k.indices != rows] < 0.0)
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygons star-shaped about the origin: vertices at increasing
+    angles, each gap under 0.9 pi, with radii in [0.3, 1]."""
+    n = draw(st.integers(3, 10))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    theta = np.cumsum(gaps) * (2.0 * np.pi / gaps.sum())
+    if np.max(np.diff(np.concatenate([[theta[-1] - 2.0 * np.pi], theta]))) >= 0.9 * np.pi:
+        reject()
+    radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    return Polygon(np.column_stack([radii * np.cos(theta), radii * np.sin(theta)]))
+
+
+class TestAssemblyProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(star_polygons(), st.sampled_from([0.2, 0.1]))
+    def test_star_polygon_operators(self, polygon, target_h):
+        try:
+            m = triangulate(polygon, target_h)
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        k = m.stiffness
+        assert (k != k.T).nnz == 0
+        assert np.abs(k @ np.ones(m.n_nodes)).max() <= 1e-12 * np.abs(k.data).max()
+        interior = ~m.boundary_node
+        assert_same_csr(m.interior_stiffness, k[interior][:, interior])
+        assert m.lumped_mass.sum() == pytest.approx(polygon.signed_area(), rel=1e-12)
 
 
 class TestConjugateGradient:

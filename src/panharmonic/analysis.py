@@ -99,7 +99,7 @@ class ConvexityReport:
     varadhan_results: tuple      # of VaradhanResult or None, same length
     verdict: str
     ground_truth_convex: Optional[bool]
-    largest_verified_mu: Optional[float]
+    largest_verified_mu: float
     notes: tuple
 
 
@@ -123,6 +123,11 @@ def varadhan_error(field: ScalarField, domain: Domain) -> VaradhanResult:
     taken over interior nodes."""
     if field.boundary_condition != "dirichlet":
         raise ValueError("distance-recovery error is defined for Dirichlet fields")
+    return _distance_gap(field, domain)
+
+
+def _distance_gap(field: ScalarField, domain: Domain) -> VaradhanResult:
+    """varadhan_error without the Dirichlet check, for flux data too."""
     estimate = varadhan_estimate(field)
     interior = ~field.mesh.boundary_node
     pts = field.mesh.nodes[interior]
@@ -132,12 +137,15 @@ def varadhan_error(field: ScalarField, domain: Domain) -> VaradhanResult:
 
 
 def solved_distance_recovery(field: ScalarField, domain: Domain
-                             ) -> tuple[Optional[VaradhanResult], int]:
-    """varadhan_error of a solved Dirichlet field, and the number of nodes
-    whose value is at or below RECOVERY_FLOOR.  When that number is not 0
-    the recovery is unresolved and the result is None."""
+                             ) -> tuple[Optional[VaradhanResult], Optional[str]]:
+    """varadhan_error of a solved Dirichlet field, or None and a note when
+    some node value is at or below RECOVERY_FLOOR: the recovery is then
+    unresolved."""
     below = int(np.count_nonzero(field.values <= RECOVERY_FLOOR))
-    return (None if below else varadhan_error(field, domain)), below
+    if not below:
+        return varadhan_error(field, domain), None
+    return None, (f"distance recovery skipped at mu={field.mu:g}: {below} node "
+                  f"values at or below the solver floor {RECOVERY_FLOOR:g}")
 
 
 def condition_margin(field: ScalarField, grads: GradientField,
@@ -249,16 +257,38 @@ def decay_envelope_fit(fields, domain: Domain, rho: float) -> DecayEnvelope:
     return DecayEnvelope(rho, c_best)
 
 
+class Ladder:
+    """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
+    mesh refined until mu * h_max <= RESOLUTION_LIMIT.  At the first mu the
+    triangle budget cannot resolve, iteration stops; stopped_at is then that
+    mu, and mesh the finest mesh that fit."""
+
+    def __init__(self, domain: Domain, first_mesh, mu_list):
+        self.domain = domain
+        self.mesh = first_mesh
+        self.mu_list = mu_list
+        self.stopped_at: Optional[float] = None
+
+    def __iter__(self):
+        for mu in self.mu_list:
+            try:
+                while mu * self.mesh.h_max > RESOLUTION_LIMIT:
+                    self.mesh = refine_uniform(self.mesh, self.domain)
+            except MeshBudgetError:
+                self.stopped_at = mu
+                return
+            yield mu, self.mesh
+
+
 def convexity_sweep(domain: Domain, mu_list, target_h: float,
                     value_rule: str = "centroid") -> ConvexityReport:
     """Run the condition check over an ascending sweep of mu.
 
-    Each mu reuses the current mesh, refining until mu * h_max <=
-    RESOLUTION_LIMIT (the rule every result's resolution_ok reports); if
-    the triangle budget stops the refinement, the sweep truncates with a
-    note.  The verdict covers the resolution-verified prefix only, and
-    CONDITION_FAILS means "no certificate at the tested mu", never a proof
-    of nonconvexity.
+    The meshes come from a Ladder started at triangulate(domain, target_h),
+    so every result's resolution_ok holds; if the triangle budget stops the
+    refinement, the sweep truncates with a note.  The verdict covers the
+    swept prefix only, and CONDITION_FAILS means "no certificate at the
+    tested mu", never a proof of nonconvexity.
     """
     mu_list = [float(m) for m in mu_list]
     if not mu_list:
@@ -266,14 +296,12 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
     if any(m <= 0.0 for m in mu_list) or any(
             b <= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be positive and strictly ascending")
-    return _sweep_from_mesh(domain, triangulate(domain, target_h), mu_list,
-                            value_rule)
+    return _sweep(Ladder(domain, triangulate(domain, target_h), mu_list),
+                  value_rule)
 
 
-def _sweep_from_mesh(domain: Domain, mesh, mu_list: list,
-                     value_rule: str) -> ConvexityReport:
-    """convexity_sweep from a given starting mesh of the domain; mu_list is
-    already validated."""
+def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:
+    """convexity_sweep over a ladder whose mu_list is already validated."""
     notes = [
         "one-directional check: nonnegative margins at the tested mu "
         "support convexity; a negative margin withholds the certificate "
@@ -282,45 +310,34 @@ def _sweep_from_mesh(domain: Domain, mesh, mu_list: list,
     ]
     cond_results: list[ConditionResult] = []
     var_results: list[Optional[VaradhanResult]] = []
-    swept: list[float] = []
-    for mu in mu_list:
-        try:
-            while mu * mesh.h_max > RESOLUTION_LIMIT:
-                mesh = refine_uniform(mesh, domain)
-        except MeshBudgetError:
-            notes.append(
-                f"sweep truncated before mu={mu:g}: refining past "
-                f"{mesh.n_triangles} triangles exceeds the budget")
-            break
+    for mu, mesh in ladder:
         field = solve_dirichlet(mesh, mu)
         grads = gradient_field(mesh, field)
         cond_results.append(condition_margin(field, grads, value_rule))
-        recovery, below = solved_distance_recovery(field, domain)
+        recovery, note = solved_distance_recovery(field, ladder.domain)
         var_results.append(recovery)
-        if recovery is None:
-            notes.append(
-                f"distance recovery skipped at mu={mu:g}: {below} node "
-                f"values at or below the solver floor {RECOVERY_FLOOR:g}")
-        swept.append(mu)
-
+        if note:
+            notes.append(note)
     if not cond_results:
         raise MeshBudgetError(
             "triangle budget too small to resolve even the smallest mu")
+    if ladder.stopped_at is not None:
+        notes.append(
+            f"sweep truncated before mu={ladder.stopped_at:g}: refining past "
+            f"{ladder.mesh.n_triangles} triangles exceeds the budget")
 
-    verified = [r for r in cond_results if r.resolution_ok]
-    verdict = VERDICT_HOLDS if all(r.holds() for r in verified) else VERDICT_FAILS
-    largest = max((r.mu for r in verified), default=None)
-    if largest is None:
-        notes.append("no mu passed the resolution rule")
-    else:
-        notes.append(f"largest resolution-verified mu: {largest:g}")
+    # The ladder resolves every mu it yields, so each result is verified.
+    verdict = (VERDICT_HOLDS if all(r.holds() for r in cond_results)
+               else VERDICT_FAILS)
+    largest = cond_results[-1].mu
+    notes.append(f"largest resolution-verified mu: {largest:g}")
     return ConvexityReport(
-        domain_summary=domain_to_dict(domain),
-        mu_list=tuple(swept),
+        domain_summary=domain_to_dict(ladder.domain),
+        mu_list=tuple(r.mu for r in cond_results),
         condition_results=tuple(cond_results),
         varadhan_results=tuple(var_results),
         verdict=verdict,
-        ground_truth_convex=is_convex_polygon(domain),
+        ground_truth_convex=is_convex_polygon(ladder.domain),
         largest_verified_mu=largest,
         notes=tuple(notes),
     )

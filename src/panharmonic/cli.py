@@ -8,6 +8,9 @@ Subcommands:
 * probe-superharmonic disc-average probes at reflex corners (CSV)
 * validate            built-in analytic cross-checks, pass/fail per line
 
+Both sweeps walk one analysis.Ladder from the first mesh.  At the first mu
+the triangle budget cannot resolve, they keep what completed and exit 1.
+
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
 produce byte-identical output files.
@@ -142,12 +145,6 @@ def _initial_mesh(args, mu_max: float, domain):
     return meshing.triangulate(domain, h)
 
 
-def _resolve_mesh(m, domain, mu: float):
-    while mu * m.h_max > solver.RESOLUTION_LIMIT:
-        m = meshing.refine_uniform(m, domain)
-    return m
-
-
 def _out_dir(args) -> Path:
     d = Path(args.output_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -173,43 +170,28 @@ def _cmd_varadhan(args) -> int:
     if not (0.0 < args.rho < 0.5):
         raise _ConfigError("--rho must lie in (0, 1/2)")
     mus = _mu_list(args)
-    m = _initial_mesh(args, mus[-1], domain)
+    ladder = analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
     rows = []
-    completed = []
-    for mu in mus:
-        try:
-            m = _resolve_mesh(m, domain, mu)
-        except meshing.MeshBudgetError:
-            largest = f"{completed[-1]:g}" if completed else "none"
-            print(f"error: triangle budget exceeded before mu={mu:g}; "
-                  f"largest completed mu: {largest}", file=sys.stderr)
-            _write_varadhan_csv(_out_dir(args) / "varadhan.csv", rows)
-            return _EXIT_PIPELINE
+    for mu, m in ladder:
         if args.neumann:
             field = solver.solve_neumann(m, mu)
-            estimate = analysis.varadhan_estimate(field)
-            interior = ~m.boundary_node
-            gap = np.abs(estimate[interior] -
-                         geometry.boundary_distance_batch(domain, m.nodes[interior]))
-            k = int(np.argmax(gap))
-            loc = m.nodes[interior][k]
-            rows.append((mu, float(gap[k]), float(loc[0]), float(loc[1]),
-                         math.nan, field.resolution_ok))
+            res, env = analysis._distance_gap(field, domain), math.nan
         else:
             field = solver.solve_dirichlet(m, mu)
-            res, below = analysis.solved_distance_recovery(field, domain)
-            envelope = analysis.decay_envelope_fit([field], domain, args.rho)
-            if res is None:
-                print(f"note: distance recovery skipped at mu={mu:g}: "
-                      f"{below} node values at or below the solver floor "
-                      f"{analysis.RECOVERY_FLOOR:g}")
-                sup, x, y = math.nan, math.nan, math.nan
-            else:
-                sup, (x, y) = res.sup_error, res.error_location
-            rows.append((mu, sup, x, y, envelope.constant,
-                         field.resolution_ok))
-        completed.append(mu)
+            res, note = analysis.solved_distance_recovery(field, domain)
+            env = analysis.decay_envelope_fit([field], domain, args.rho).constant
+            if note:
+                print(f"note: {note}")
+        sup, (x, y) = ((math.nan, (math.nan, math.nan)) if res is None
+                       else (res.sup_error, res.error_location))
+        rows.append((mu, sup, x, y, env, field.resolution_ok))
     _write_varadhan_csv(_out_dir(args) / "varadhan.csv", rows)
+    if ladder.stopped_at is not None:
+        largest = f"{rows[-1][0]:g}" if rows else "none"
+        print(f"error: triangle budget exceeded before "
+              f"mu={ladder.stopped_at:g}; largest completed mu: {largest}",
+              file=sys.stderr)
+        return _EXIT_PIPELINE
     if args.neumann:
         print("note: flux-data distance recovery is exploratory; no "
               "convergence statement is attached to these numbers")
@@ -228,15 +210,14 @@ def _write_varadhan_csv(path, rows) -> None:
 def _cmd_check_convexity(args) -> int:
     domain = _load_domain(args.domain)
     mus = _mu_list(args)
-    report = analysis._sweep_from_mesh(
-        domain, _initial_mesh(args, mus[-1], domain), mus, args.value_rule)
+    ladder = analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
+    report = analysis._sweep(ladder, args.value_rule)
     out = _out_dir(args)
     analysis.write_report_json(report, out / "report.json")
     analysis.write_margins_csv(report, out / "margins.csv")
     print(f"verdict: {report.verdict} "
           f"(largest verified mu: {report.largest_verified_mu})")
-    truncated = len(report.mu_list) < len(mus)
-    if truncated:
+    if ladder.stopped_at is not None:
         print(f"error: sweep truncated by the triangle budget after "
               f"mu={report.mu_list[-1]:g}; see report notes", file=sys.stderr)
         return _EXIT_PIPELINE

@@ -138,10 +138,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.edge_lengths.max())
 
-    @property
-    def h_min(self) -> float:
-        return float(self.edge_lengths.min())
-
     # The mu-free pieces of P1 assembly.  They depend only on the mesh, which
     # is immutable, so each is built on first use and lives as long as the
     # mesh does; the solver adds mu^2 times the lumped mass per solve.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from panharmonic.analysis import (ConditionResult, DecayEnvelope,
+from panharmonic.analysis import (ConditionResult, DecayEnvelope, Ladder,
                                   NonpositiveFieldError, VERDICT_FAILS,
                                   VERDICT_HOLDS, canonical_corner_probe,
                                   condition_margin, convexity_sweep,
@@ -17,8 +17,8 @@ from panharmonic.analysis import (ConditionResult, DecayEnvelope,
 from panharmonic.geometry import (Point2, ProbeDisc, distance_to_boundary,
                                   unit_disc)
 from panharmonic.mesh import MeshBudgetError, triangulate
-from panharmonic.solver import (GradientField, ScalarField, gradient_field,
-                                solve_dirichlet, solve_neumann)
+from panharmonic.solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
+                                gradient_field, solve_dirichlet, solve_neumann)
 from panharmonic.special import DiscSolution, log_bessel_i0
 
 # Sup of |n - log I0(n)/n - d| over disc nodes sits at the center, so these
@@ -235,7 +235,10 @@ class TestSweep:
         assert report.mu_list == (1.0,)
         assert report.largest_verified_mu == 1.0
         assert report.verdict == VERDICT_HOLDS
-        assert any("truncated" in n for n in report.notes)
+        # The note counts the finest mesh that fit, refined past the mu=1
+        # mesh on the way to mu=2000 (150 triangles would mean it was lost).
+        assert ("sweep truncated before mu=2000: refining past 614400 "
+                "triangles exceeds the budget") in report.notes
 
     def test_budget_exhausted_entirely(self, unit_disc):
         with pytest.raises(MeshBudgetError):
@@ -248,6 +251,32 @@ class TestSweep:
         assert report.varadhan_results == (None,)
         assert len(report.condition_results) == 1
         assert any("skipped at mu=40" in n for n in report.notes)
+
+
+class TestLadder:
+    def test_resolved_mesh_is_reused(self, unit_disc):
+        first = triangulate(unit_disc, 0.05)
+        ladder = Ladder(unit_disc, first, [1.0, 2.0, 4.0])
+        steps = list(ladder)
+        assert [mu for mu, _ in steps] == [1.0, 2.0, 4.0]
+        assert all(m is first for _, m in steps)
+        assert ladder.stopped_at is None
+
+    def test_refines_until_resolved(self, l_shape):
+        ladder = Ladder(l_shape, triangulate(l_shape, 0.05), [5.0, 10.0, 20.0])
+        steps = list(ladder)
+        assert [mu for mu, _ in steps] == [5.0, 10.0, 20.0]
+        assert all(mu * m.h_max <= RESOLUTION_LIMIT for mu, m in steps)
+        counts = [m.n_triangles for _, m in steps]
+        assert counts == sorted(counts)
+        assert ladder.stopped_at is None
+        assert ladder.mesh is steps[-1][1]
+
+    def test_budget_stop_keeps_finest_mesh(self, unit_disc):
+        ladder = Ladder(unit_disc, triangulate(unit_disc, 0.3), [1.0, 2000.0])
+        assert [mu for mu, _ in ladder] == [1.0]
+        assert ladder.stopped_at == 2000.0
+        assert ladder.mesh.n_triangles == 614400
 
 
 class TestReportOutput:

@@ -8,6 +8,7 @@ import pytest
 from panharmonic import analysis, cli
 from panharmonic import mesh as meshing
 from panharmonic.geometry import dump_domain, l_shape, unit_disc, unit_square
+from panharmonic.solver import solve_neumann
 
 
 @pytest.fixture()
@@ -72,6 +73,12 @@ class TestVaradhan:
         assert "exploratory" in capsys.readouterr().out
         row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
         assert row[4] == "nan"  # no envelope for flux data
+        # The row is varadhan_error's gap without its Dirichlet check.
+        disc = unit_disc()
+        gap = analysis._distance_gap(
+            solve_neumann(meshing.triangulate(disc, 0.2), 2.0), disc)
+        assert row[1:4] == [analysis.format_float(c) for c in (
+            gap.sup_error, gap.error_location.x1, gap.error_location.x2)]
 
     def test_unresolved_dirichlet_row(self, domains, tmp_path, capsys):
         # At mu = 40 the disc's deep-interior values (about 1e-16) sit below

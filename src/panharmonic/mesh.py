@@ -1,8 +1,9 @@
 """Conforming P1 triangulations of polygons and discs.
 
-Polygons are ear-clipped to a coarse triangulation, refined uniformly until
-the edge-length target holds, then relaxed by a few guarded Laplacian sweeps
-(interior nodes only).  Discs get a structured concentric web whose boundary
+Polygons are ear-clipped to a coarse triangulation on their own vertices,
+whose interior edges are then flipped to the constrained Delaunay
+triangulation (Lawson flips), refined uniformly until the edge-length target
+holds, then relaxed by a few guarded Laplacian sweeps (interior nodes only).  Discs get a structured concentric web whose boundary
 nodes sit exactly on the circle at every refinement level.
 
 Every mesh built here keeps a CoarseLink to the level it was built from: the
@@ -67,10 +68,13 @@ class Mesh:
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
     directed so the domain lies on the left; boundary_normals holds the
     matching outward unit normals.  coarse: the CoarseLink this mesh was
-    built from, or None; fixed at construction.
+    built from, or None; fixed at construction.  edges: the (uniq, inverse,
+    counts) that _edge_topology would return for triangles, when the caller
+    already has them.
     """
 
-    def __init__(self, nodes, triangles, coarse: CoarseLink | None = None):
+    def __init__(self, nodes, triangles, coarse: CoarseLink | None = None,
+                 edges: tuple | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -86,7 +90,11 @@ class Mesh:
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"triangle {bad} is degenerate or flipped")
 
-        directed, uniq, inverse, counts = _edge_topology(triangles, n)
+        if edges is None:
+            directed, uniq, inverse, counts = _edge_topology(triangles, n)
+        else:
+            directed = _directed_edges(triangles)
+            uniq, inverse, counts = edges
         if counts.max(initial=1) > 2:
             raise ValueError("nonconforming mesh: an edge is shared by >2 triangles")
         boundary_dir = directed[counts[inverse] == 1]
@@ -271,6 +279,13 @@ def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
     return k
 
 
+def _directed_edges(triangles: np.ndarray) -> np.ndarray:
+    """The 3M directed edges of a triangle list, in blocks 01, 12, 20."""
+    return np.concatenate([triangles[:, [0, 1]],
+                           triangles[:, [1, 2]],
+                           triangles[:, [2, 0]]])
+
+
 def _edge_topology(triangles: np.ndarray, n_nodes: int):
     """Edges of a triangle list on nodes 0 .. n_nodes - 1.
 
@@ -280,9 +295,7 @@ def _edge_topology(triangles: np.ndarray, n_nodes: int):
     Edges are deduplicated on the int64 key lo * n_nodes + hi, which sorts
     exactly as the (lo, hi) rows do.
     """
-    directed = np.concatenate([triangles[:, [0, 1]],
-                               triangles[:, [1, 2]],
-                               triangles[:, [2, 0]]])
+    directed = _directed_edges(triangles)
     lo = np.minimum(directed[:, 0], directed[:, 1])
     hi = np.maximum(directed[:, 0], directed[:, 1])
     keys, inverse, counts = np.unique(lo * n_nodes + hi,
@@ -372,6 +385,62 @@ def _ear_clip(vertices: np.ndarray) -> np.ndarray:
     return np.array(tris, dtype=np.int64)
 
 
+def _lawson_flip(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Flip interior edges of a CCW triangulation of a polygon's own vertices
+    until each is locally Delaunay, giving the constrained Delaunay
+    triangulation: of all triangulations of the polygon, the one whose
+    smallest angle is largest (Lawson 1977).
+
+    The polygon's sides lie on one triangle each, so they are never flipped.
+    An edge is flipped only when the far vertex lies inside the circumcircle
+    of the near triangle by more than a relative tolerance, so co-circular
+    quadrilaterals keep the input's diagonal.  Edges wait on a stack, seeded
+    with every interior edge in sorted order; a flip pushes the four sides of
+    its quadrilateral.  Rows of triangles never flipped come back unchanged.
+    """
+    tris = triangles.tolist()
+    owners: dict[tuple[int, int], list[int]] = {}
+    for t, tri in enumerate(tris):
+        for k in range(3):
+            owners.setdefault(_edge_key(tri[k], tri[k - 2]), []).append(t)
+    stack = sorted((e for e, ts in owners.items() if len(ts) == 2), reverse=True)
+    while stack:
+        edge = stack.pop()
+        pair = owners.get(edge)
+        if pair is None or len(pair) != 2:
+            continue  # flipped away, or a side of the polygon
+        t1, t2 = pair
+        tri = tris[t1]
+        k = next(k for k in range(3) if _edge_key(tri[k], tri[k - 2]) == edge)
+        a, b, c = tri[k], tri[k - 2], tri[k - 1]
+        d = next(v for v in tris[t2] if v not in edge)
+        if not _in_circumcircle(vertices, a, b, c, d):
+            continue
+        # CCW quadrilateral a, d, b, c; its diagonal ab becomes cd.
+        tris[t1], tris[t2] = [c, a, d], [d, b, c]
+        del owners[edge]
+        owners[_edge_key(c, d)] = [t1, t2]
+        owners[_edge_key(a, d)] = [t1 if t == t2 else t for t in owners[_edge_key(a, d)]]
+        owners[_edge_key(b, c)] = [t2 if t == t1 else t for t in owners[_edge_key(b, c)]]
+        stack += [_edge_key(c, a), _edge_key(b, c), _edge_key(d, b), _edge_key(a, d)]
+    return np.array(tris, dtype=np.int64)
+
+
+def _edge_key(u: int, w: int) -> tuple[int, int]:
+    return (u, w) if u < w else (w, u)
+
+
+def _in_circumcircle(vertices, a, b, c, d) -> bool:
+    """Whether d lies inside the circumcircle of the CCW triangle abc by
+    more than 1e-12 times the sum of the magnitudes of the incircle
+    determinant's terms (its rounding error is under 1e-15 times that)."""
+    (adx, ady), (bdx, bdy), (cdx, cdy) = (vertices[[a, b, c]] - vertices[d]).tolist()
+    alift, blift, clift = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+    terms = (alift * bdx * cdy, -alift * cdx * bdy, blift * cdx * ady,
+             -blift * adx * cdy, clift * adx * bdy, -clift * bdx * ady)
+    return sum(terms) > 1e-12 * sum(abs(x) for x in terms)
+
+
 def _neighbor_means(nodes: np.ndarray, edges: np.ndarray):
     n = nodes.shape[0]
     # Each node sums its neighbours over edges where it is the first end,
@@ -408,8 +477,10 @@ def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
                 break
             blend *= 0.5
         # all blends rejected: keep nodes as they are for this sweep
-    # Smoothing keeps the topology, so the input's hierarchy still applies.
-    return Mesh(nodes, tris, mesh.coarse)
+    # Smoothing keeps the topology, so the input's edges and hierarchy still
+    # apply.
+    return Mesh(nodes, tris, mesh.coarse,
+                (edges, mesh._edge_inverse, mesh._edge_counts))
 
 
 def _disc_web(disc: Disc, target_h: float) -> Mesh:
@@ -500,8 +571,9 @@ def _disc_link(rings: int) -> CoarseLink | None:
 def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h.
 
-    Polygons: ear clipping, uniform refinement until the bound holds, then
-    guarded Laplacian smoothing.  Discs: structured concentric web with all
+    Polygons: ear clipping, Lawson flips to the constrained Delaunay
+    triangulation of the polygon's vertices, uniform refinement until the
+    bound holds, then guarded Laplacian smoothing.  Discs: structured concentric web with all
     boundary nodes exactly on the circle.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
@@ -511,7 +583,8 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     if isinstance(domain, Disc):
         return _disc_web(domain, target_h)
 
-    mesh = Mesh(domain.vertices, _ear_clip(domain.vertices))
+    vertices = domain.vertices
+    mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
     h_cap = 1.5 * target_h
     while mesh.h_max > h_cap:
         mesh = refine_uniform(mesh, domain)
@@ -560,7 +633,52 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
          np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
         shape=(n + n_edges, n))
     link = CoarseLink(prolongation, mesh.boundary_node, mesh.coarse)
-    return Mesh(np.concatenate([mesh.nodes, mids]), children, link)
+    return Mesh(np.concatenate([mesh.nodes, mids]), children, link,
+                _refined_edges(mesh))
+
+
+def _refined_edges(mesh: Mesh) -> tuple:
+    """(uniq, inverse, counts) of refine_uniform's children, equal to what
+    _edge_topology returns for them, without sorting all 12M directed edges.
+
+    Parent edge e = (u, w) splits into (u, n + e) and (w, n + e), each
+    shared by as many children as e was by parents, and parent triangle t
+    adds the midpoint edges 01-12, 12-20 and 20-01, each shared by two
+    children.  These 2E + 3M edges are distinct, so one argsort of their
+    keys puts them in _edge_topology's order.
+    """
+    n, m = mesh.n_nodes, mesh.n_triangles
+    uniq, inverse, counts = mesh._edges_unique, mesh._edge_inverse, mesh._edge_counts
+    n_edges = uniq.shape[0]
+    # The midpoint of parent edge e is child node n + e.
+    e01, e12, e20 = inverse[:m], inverse[m:2 * m], inverse[2 * m:]
+    # Generated order: halves at u, halves at w, then the three midpoint
+    # edge blocks of the parent triangles.
+    lo = np.concatenate([uniq[:, 0], uniq[:, 1], n + np.minimum(e01, e12),
+                         n + np.minimum(e12, e20), n + np.minimum(e20, e01)])
+    hi = np.concatenate([n + np.arange(n_edges), n + np.arange(n_edges),
+                         n + np.maximum(e01, e12), n + np.maximum(e12, e20),
+                         n + np.maximum(e20, e01)])
+    order = np.argsort(lo * (n + n_edges) + hi)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+
+    tris = mesh.triangles
+
+    def half(e, corner):
+        return np.where(uniq[e, 0] == corner, e, n_edges + e)
+
+    first = 2 * n_edges + np.arange(m)
+    mid01_12, mid12_20, mid20_01 = first, first + m, first + 2 * m
+    # The children's sides 01, 12, 20 in the block order of refine_uniform.
+    generated = np.concatenate([
+        half(e01, tris[:, 0]), half(e12, tris[:, 1]), half(e20, tris[:, 2]), mid01_12,
+        mid20_01, mid01_12, mid12_20, mid12_20,
+        half(e20, tris[:, 0]), half(e01, tris[:, 1]), half(e12, tris[:, 2]), mid20_01,
+    ])
+    child_counts = np.concatenate([counts, counts, np.full(3 * m, 2, dtype=counts.dtype)])
+    return (np.column_stack([lo[order], hi[order]]), rank[generated],
+            child_counts[order])
 
 
 def save_mesh_text(mesh: Mesh, path) -> None:

@@ -1,0 +1,20 @@
+"""Hypothesis strategies shared by the test modules."""
+
+import numpy as np
+from hypothesis import reject
+from hypothesis import strategies as st
+
+from panharmonic.geometry import Polygon
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygons star-shaped about the origin: vertices at increasing
+    angles, each gap under 0.9 pi, with radii in [0.3, 1]."""
+    n = draw(st.integers(3, 10))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    theta = np.cumsum(gaps) * (2.0 * np.pi / gaps.sum())
+    if np.max(np.diff(np.concatenate([[theta[-1] - 2.0 * np.pi], theta]))) >= 0.9 * np.pi:
+        reject()
+    radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    return Polygon(np.column_stack([radii * np.cos(theta), radii * np.sin(theta)]))

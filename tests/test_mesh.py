@@ -1,4 +1,5 @@
-"""Triangulation: ear clipping + refinement for polygons, a web for discs.
+"""Triangulation: ear clipping, Lawson flips and refinement for polygons,
+a web for discs.
 
 Regression constants (node/triangle counts, h values) were recorded from
 the current construction; they pin determinism rather than derive from
@@ -10,13 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from panharmonic.geometry import (Polygon, unit_disc, unit_square, l_shape,
                                   regular_polygon)
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
-                              _ear_clip, _edge_topology, _neighbor_means,
-                              _smooth, mesh_quality, refine_uniform,
-                              save_mesh_text, triangulate)
+                              _ear_clip, _edge_topology, _lawson_flip,
+                              _neighbor_means, _signed_areas, _smooth,
+                              mesh_quality, refine_uniform, save_mesh_text,
+                              triangulate)
+from strategies import star_polygons
 
 
 def skyline(heights, step=0.4) -> Polygon:
@@ -81,13 +86,24 @@ class TestDiscWeb:
         assert np.hypot(*m.nodes[0]) == 0.0
 
 
+def assert_nonobtuse(m):
+    off, _ = m.stiffness_weights
+    assert np.count_nonzero(off > 0.0) == 0
+    assert mesh_quality(m).nonobtuse_fraction == 1.0
+
+
 class TestPolygonGeneral:
     def test_l_shape(self, l_shape):
         m = triangulate(l_shape, 0.05)
         assert (m.n_nodes, m.n_triangles) == (2145, 4096)
-        assert m.h_max == pytest.approx(0.07457198470456435, rel=1e-15)
+        assert m.h_max == pytest.approx(0.06971901888305465, rel=1e-15)
         assert m.h_max <= 1.5 * 0.05
         assert m.triangle_areas().sum() == pytest.approx(3.0, rel=1e-13)
+        # The Delaunay coarse mesh has no obtuse triangle, so K is an
+        # M-matrix at every level.
+        assert_nonobtuse(m)
+        assert_nonobtuse(triangulate(l_shape, 0.0125))
+        assert_nonobtuse(refine_uniform(m, l_shape))
 
     def test_nonconvex_coarse(self, l_shape):
         m = triangulate(l_shape, 1.3)
@@ -256,6 +272,24 @@ class TestFastPaths:
             assert np.array_equal(g, r)
         assert np.array_equal(m._edges_unique, ref[1])
 
+    @pytest.mark.parametrize("name", ["l_shape", "disc", "heptagon", "skyline"])
+    def test_refined_edge_topology(self, name):
+        # refine_uniform derives the child's edges from the parent's, and
+        # smoothing (the last step of triangulate on polygons) keeps them;
+        # the disc refines its web with midpoints projected onto the circle.
+        dom, target_h = {"l_shape": (l_shape(), 0.1), "disc": (unit_disc(), 0.2),
+                         "heptagon": (regular_polygon(7, radius=1.0), 0.2),
+                         "skyline": (skyline((1.2, 0.4, 0.8, 1.2, 0.4)), 0.1)}[name]
+        coarse = triangulate(dom, target_h)
+        once = refine_uniform(coarse, dom)
+        for m in (coarse, once, refine_uniform(once, dom)):
+            _, uniq, inverse, counts = _edge_topology(m.triangles, m.n_nodes)
+            for got, ref in ((m._edges_unique, uniq), (m._edge_inverse, inverse),
+                             (m._edge_counts, counts)):
+                assert got.dtype == ref.dtype
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("target_h", [0.5, 0.3, 0.1, 0.05])
     def test_disc_web(self, target_h, unit_disc):
         m = triangulate(unit_disc, target_h)
@@ -305,9 +339,10 @@ class TestHierarchy:
         depth, link = 0, m.coarse
         while link.coarse is not None:
             depth, link = depth + 1, link.coarse
-        # The bottom of the chain interpolates from the ear-clip mesh.
+        # The bottom of the chain interpolates from the coarse mesh on the
+        # polygon's own vertices: the ear clip after Lawson flips.
         assert link.prolongation.shape[1] == len(l_shape.vertices)
-        assert depth + 1 == 5  # ear clip, then five uniform refinements
+        assert depth + 1 == 5  # coarse mesh, then five uniform refinements
 
     @pytest.mark.parametrize("target_h", [0.5, 0.1, 0.0106, 0.00265])
     def test_disc_prolongation(self, target_h, unit_disc):
@@ -339,3 +374,68 @@ class TestHierarchy:
         radius = np.concatenate([[0.0], np.repeat(ring, 6 * ring) / coarse_rings])
         interp = m.coarse.prolongation @ radius
         assert np.abs(interp - np.hypot(*m.nodes.T)).max() < 1e-14
+
+
+@st.composite
+def skylines(draw):
+    """Skylines of 2 to 7 columns on a grid of heights, neighbours unequal:
+    every rectangle of grid corners is co-circular."""
+    heights = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0, 1.2]),
+                            min_size=2, max_size=7))
+    if any(a == b for a, b in zip(heights, heights[1:])):
+        reject()
+    return skyline(heights, step=draw(st.sampled_from([0.25, 0.4, 0.5])))
+
+
+class TestLawsonFlip:
+    """_lawson_flip against the properties of the constrained Delaunay
+    triangulation, checked with the stiffness weights: an interior edge is
+    locally Delaunay exactly when its two opposite angles sum to at most
+    180 degrees, i.e. when -(cot a + cot b) / 2 is not positive."""
+
+    @staticmethod
+    def check(polygon):
+        vertices = polygon.vertices
+        try:
+            ears = _ear_clip(vertices)
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        flipped = _lawson_flip(vertices, ears)
+        assert flipped.dtype == np.int64 and flipped.shape == ears.shape
+        assert np.all(_signed_areas(vertices, flipped) > 0.0)
+        m = Mesh(vertices, flipped)
+        assert m.n_nodes == len(vertices)
+        assert m.triangle_areas().sum() == pytest.approx(polygon.signed_area(), rel=1e-13)
+        n = len(vertices)
+        sides = {(i, (i + 1) % n) for i in range(n)}
+        assert set(map(tuple, m.boundary_edges.tolist())) == sides
+        off, _ = m.stiffness_weights
+        assert np.all(off[m._edge_counts == 2] <= 1e-9)
+        assert mesh_quality(m).min_angle >= mesh_quality(Mesh(vertices, ears)).min_angle
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(star_polygons())
+    def test_star_polygons(self, polygon):
+        self.check(polygon)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(skylines())
+    def test_skylines(self, polygon):
+        self.check(polygon)
+
+    @pytest.mark.parametrize("name", ["square", "heptagon"])
+    def test_co_circular_input_unchanged(self, name):
+        dom = unit_square() if name == "square" else regular_polygon(7, radius=1.0)
+        ears = _ear_clip(dom.vertices)
+        flipped = _lawson_flip(dom.vertices, ears)
+        assert flipped.dtype == ears.dtype
+        assert flipped.tobytes() == ears.tobytes()
+
+    def test_flips_l_shape_diagonal(self, l_shape):
+        # Ear clipping gives the L-shape a 135-degree corner; the flip
+        # leaves right angles only.
+        ears = _ear_clip(l_shape.vertices)
+        assert mesh_quality(Mesh(l_shape.vertices, ears)).max_angle > 90.0 + 1e-9
+        assert_nonobtuse(Mesh(l_shape.vertices, _lawson_flip(l_shape.vertices, ears)))

@@ -29,6 +29,7 @@ from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 solve_dirichlet, solve_neumann,
                                 solve_spd_system)
 from panharmonic.special import bessel_i0, bessel_i1, log_bessel_i0
+from strategies import star_polygons
 
 
 def assert_same_csr(a, b):
@@ -133,19 +134,6 @@ class TestAssembly:
             k = m.stiffness
             rows = np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
             assert np.all(k.data[k.indices != rows] < 0.0)
-
-
-@st.composite
-def star_polygons(draw):
-    """Simple polygons star-shaped about the origin: vertices at increasing
-    angles, each gap under 0.9 pi, with radii in [0.3, 1]."""
-    n = draw(st.integers(3, 10))
-    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
-    theta = np.cumsum(gaps) * (2.0 * np.pi / gaps.sum())
-    if np.max(np.diff(np.concatenate([[theta[-1] - 2.0 * np.pi], theta]))) >= 0.9 * np.pi:
-        reject()
-    radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
-    return Polygon(np.column_stack([radii * np.cos(theta), radii * np.sin(theta)]))
 
 
 class TestAssemblyProperties:

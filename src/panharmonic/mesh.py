@@ -3,13 +3,16 @@
 Polygons are ear-clipped to a coarse triangulation on their own vertices,
 whose interior edges are then flipped to the constrained Delaunay
 triangulation (Lawson flips), refined uniformly until the edge-length target
-holds, then relaxed by a few guarded Laplacian sweeps (interior nodes only).  Discs get a structured concentric web whose boundary
-nodes sit exactly on the circle at every refinement level.
+holds, then relaxed by a few guarded Laplacian sweeps (interior nodes only).
+Discs get a structured concentric web whose boundary nodes sit exactly on
+the circle at every refinement level.
 
-Every mesh built here keeps a CoarseLink to the level it was built from: the
+Every mesh built here keeps the Mesh it was built from (Mesh.coarse) and the
+interpolation from that mesh's nodes to its own (Mesh.prolongation): the
 parent of a uniform refinement (midpoint interpolation), or, for a disc web
 with R rings, the web with ceil(R/2) rings (polar-bilinear interpolation).
-The solver's multigrid preconditioner runs over that chain.
+The solver's multigrid preconditioner runs over that chain of meshes, each
+level with the operators its own mesh caches.
 
 Everything here is deterministic: no randomization, fixed iteration orders,
 and refinement/smoothing that depend only on the input mesh.
@@ -46,34 +49,23 @@ class MeshQuality:
     nonobtuse_fraction: float
 
 
-@dataclass(frozen=True)
-class CoarseLink:
-    """One step down a mesh hierarchy.
-
-    prolongation: (n_fine, n_coarse) CSR interpolation from the coarse
-    level's nodes to this mesh's nodes; every row sums to 1.
-    boundary_node: the coarse level's boundary mask.  coarse: the coarse
-    level's own link, or None.  No coarse Mesh is kept, so coarse meshes
-    and their cached operators are freed as soon as nothing else holds them.
-    """
-    prolongation: sp.csr_matrix
-    boundary_node: np.ndarray
-    coarse: "CoarseLink | None"
-
-
 class Mesh:
     """Immutable triangle mesh with boundary structure.
 
     nodes: (N, 2) float array.  triangles: (M, 3) int array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
     directed so the domain lies on the left; boundary_normals holds the
-    matching outward unit normals.  coarse: the CoarseLink this mesh was
-    built from, or None; fixed at construction.  edges: the (uniq, inverse,
-    counts) that _edge_topology would return for triangles, when the caller
-    already has them.
+    matching outward unit normals.  coarse: the pair (coarse mesh,
+    prolongation) this mesh was built from, or None; kept as the
+    attributes coarse and prolongation, the (N, coarse.n_nodes) CSR
+    interpolation from the coarse mesh's nodes to these, every row summing
+    to 1.  A coarse mesh never refers back to its refinements, so a chain
+    holds no reference cycle.  edges: the (uniq, inverse, counts) that
+    _edge_topology would return for triangles, when the caller already has
+    them.
     """
 
-    def __init__(self, nodes, triangles, coarse: CoarseLink | None = None,
+    def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix] | None = None,
                  edges: tuple | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -90,14 +82,13 @@ class Mesh:
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"triangle {bad} is degenerate or flipped")
 
-        if edges is None:
-            directed, uniq, inverse, counts = _edge_topology(triangles, n)
-        else:
-            directed = _directed_edges(triangles)
-            uniq, inverse, counts = edges
+        uniq, inverse, counts = _edge_topology(triangles, n) if edges is None else edges
         if counts.max(initial=1) > 2:
             raise ValueError("nonconforming mesh: an edge is shared by >2 triangles")
-        boundary_dir = directed[counts[inverse] == 1]
+        # Boundary edges are the sides of a single triangle; entry k M + t of
+        # inverse is side k of triangle t, running from corner k to k + 1.
+        side, t = np.divmod(np.flatnonzero(counts[inverse] == 1), triangles.shape[0])
+        boundary_dir = np.column_stack([triangles[t, side], triangles[t, (side + 1) % 3]])
 
         if not np.all(np.bincount(triangles.ravel(), minlength=n) > 0):
             raise ValueError("mesh has orphan nodes")
@@ -122,9 +113,7 @@ class Mesh:
         self._edge_inverse = inverse
         self._edge_counts = counts
         self._areas = areas
-        self.coarse = coarse
-        # Per-mesh cache of the solver's mu-free coarse-level operators.
-        self.multigrid_levels = {}
+        self.coarse, self.prolongation = coarse or (None, None)
 
     @property
     def n_nodes(self) -> int:
@@ -225,6 +214,13 @@ class Mesh:
         return sums
 
     @cached_property
+    def interior_prolongation(self) -> sp.csr_matrix:
+        """The prolongation between the interior nodes of the coarse mesh
+        and of this one, P[I][:, I_coarse]: the transfer of Dirichlet
+        multigrid."""
+        return self.prolongation[~self.boundary_node][:, ~self.coarse.boundary_node].tocsr()
+
+    @cached_property
     def lumped_mass(self) -> np.ndarray:
         """Lumped mass vector: one third of the adjacent triangle area per
         node.  Read-only."""
@@ -279,29 +275,24 @@ def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
     return k
 
 
-def _directed_edges(triangles: np.ndarray) -> np.ndarray:
-    """The 3M directed edges of a triangle list, in blocks 01, 12, 20."""
-    return np.concatenate([triangles[:, [0, 1]],
-                           triangles[:, [1, 2]],
-                           triangles[:, [2, 0]]])
-
-
 def _edge_topology(triangles: np.ndarray, n_nodes: int):
     """Edges of a triangle list on nodes 0 .. n_nodes - 1.
 
-    Returns (directed, uniq, inverse, counts): the 3M directed edges in
-    blocks 01, 12, 20; the sorted unique undirected edges; the index of each
-    directed edge into uniq; and how many triangles share each unique edge.
-    Edges are deduplicated on the int64 key lo * n_nodes + hi, which sorts
-    exactly as the (lo, hi) rows do.
+    Returns (uniq, inverse, counts): the sorted unique undirected edges; the
+    index into uniq of each of the 3M triangle sides, in blocks 01, 12, 20;
+    and how many triangles share each unique edge.  Edges are deduplicated
+    on the int64 key lo * n_nodes + hi, which sorts exactly as the (lo, hi)
+    rows do.
     """
-    directed = _directed_edges(triangles)
+    directed = np.concatenate([triangles[:, [0, 1]],
+                               triangles[:, [1, 2]],
+                               triangles[:, [2, 0]]])
     lo = np.minimum(directed[:, 0], directed[:, 1])
     hi = np.maximum(directed[:, 0], directed[:, 1])
     keys, inverse, counts = np.unique(lo * n_nodes + hi,
                                       return_inverse=True, return_counts=True)
     uniq = np.column_stack([keys // n_nodes, keys % n_nodes])
-    return directed, uniq, inverse, counts
+    return uniq, inverse, counts
 
 
 def _corner_coordinates(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
@@ -477,18 +468,17 @@ def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
                 break
             blend *= 0.5
         # all blends rejected: keep nodes as they are for this sweep
-    # Smoothing keeps the topology, so the input's edges and hierarchy still
-    # apply.
-    return Mesh(nodes, tris, mesh.coarse,
+    # Smoothing keeps the topology, so the input's edges, coarse mesh and
+    # prolongation still apply.
+    return Mesh(nodes, tris, (mesh.coarse, mesh.prolongation),
                 (edges, mesh._edge_inverse, mesh._edge_counts))
 
 
-def _disc_web(disc: Disc, target_h: float) -> Mesh:
-    rings = max(2, math.ceil(_DISC_EDGE_FACTOR * disc.radius / target_h))
-    if 6 * rings * rings > TRIANGLE_BUDGET:
-        raise MeshBudgetError(
-            f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
-            f"triangles, over the budget of {TRIANGLE_BUDGET}")
+def _disc_web(disc: Disc, rings: int) -> Mesh:
+    """The concentric web of the disc with the given number of rings, built
+    on the web with ceil(rings/2) rings down to one ring.  Ring counts are
+    odd in general, so the webs are not nested; the prolongation
+    interpolates instead (_disc_prolongation)."""
     cx, cy = disc.center
     chunks = [np.array([[cx, cy]])]
     for k in range(1, rings + 1):
@@ -513,7 +503,10 @@ def _disc_web(disc: Disc, target_h: float) -> Mesh:
         up = np.stack([outer[:, :k], outer[:, 1:], inner[:, :k]], axis=2)
         down = np.stack([inner[:, 1:k], inner[:, :k - 1], outer[:, 1:k]], axis=2)
         blocks.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
-    return Mesh(nodes, np.concatenate(blocks), _disc_link(rings))
+    coarse_rings = (rings + 1) // 2
+    coarse = (None if rings == 1 else
+              (_disc_web(disc, coarse_rings), _disc_prolongation(rings, coarse_rings)))
+    return Mesh(nodes, np.concatenate(blocks), coarse)
 
 
 def _disc_ring_node(k: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -552,36 +545,25 @@ def _disc_prolongation(rings: int, coarse_rings: int) -> sp.csr_matrix:
     return p
 
 
-def _disc_link(rings: int) -> CoarseLink | None:
-    """The chain R -> ceil(R/2) -> ... -> 1 rings below a web of R rings.
-    Ring counts are odd in general, so webs are not nested; the links
-    interpolate instead (_disc_prolongation)."""
-    counts = [rings]
-    while counts[-1] > 1:
-        counts.append((counts[-1] + 1) // 2)
-    link = None
-    for fine, coarse in reversed(list(zip(counts, counts[1:]))):
-        boundary = np.zeros(1 + 3 * coarse * (coarse + 1), dtype=bool)
-        boundary[-6 * coarse:] = True
-        boundary.setflags(write=False)
-        link = CoarseLink(_disc_prolongation(fine, coarse), boundary, link)
-    return link
-
-
 def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h.
 
     Polygons: ear clipping, Lawson flips to the constrained Delaunay
     triangulation of the polygon's vertices, uniform refinement until the
-    bound holds, then guarded Laplacian smoothing.  Discs: structured concentric web with all
-    boundary nodes exactly on the circle.
+    bound holds, then guarded Laplacian smoothing.  Discs: structured
+    concentric web with all boundary nodes exactly on the circle.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
     if target_h >= 0.5 * domain_scale(domain):
         raise ValueError("target_h must be below half the bounding-box diagonal")
     if isinstance(domain, Disc):
-        return _disc_web(domain, target_h)
+        rings = max(2, math.ceil(_DISC_EDGE_FACTOR * domain.radius / target_h))
+        if 6 * rings * rings > TRIANGLE_BUDGET:
+            raise MeshBudgetError(
+                f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
+                f"triangles, over the budget of {TRIANGLE_BUDGET}")
+        return _disc_web(domain, rings)
 
     vertices = domain.vertices
     mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
@@ -632,8 +614,7 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
          np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
          np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
         shape=(n + n_edges, n))
-    link = CoarseLink(prolongation, mesh.boundary_node, mesh.coarse)
-    return Mesh(np.concatenate([mesh.nodes, mids]), children, link,
+    return Mesh(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
                 _refined_edges(mesh))
 
 

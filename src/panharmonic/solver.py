@@ -15,13 +15,15 @@ solve uses A_II = K_II + mu^2 diag(m_I) with right-hand side
 -(K 1 + mu^2 m)_I, so it never builds the full K or A.
 
 The linear solve is conjugate gradients preconditioned by one symmetric
-V(1,1)-cycle of geometric multigrid over the mesh's own hierarchy (see
-mesh.CoarseLink): Galerkin coarse operators, damped-Jacobi smoothing
-weighted from a Gershgorin bound, and a dense solve once a level has at
-most COARSEST_SIZE free nodes.  A system without a hierarchy and above that
-size falls back to diagonal scaling, i.e. Jacobi-PCG.  Zero start and a
-fixed iteration order keep the result deterministic down to the last bit
-for a given assembled system.
+V(1,1)-cycle of geometric multigrid over the chain of meshes each mesh
+keeps (Mesh.coarse, Mesh.prolongation).  Each coarse level is its own
+mesh's operator at the same mu, rediscretized from that mesh's cached
+mu-free pieces; on nested P1 spaces this equals the Galerkin product
+P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin bound, and
+a level with at most COARSEST_SIZE free nodes is solved densely.  A system
+without a coarse mesh and above that size falls back to diagonal scaling,
+i.e. Jacobi-PCG.  Zero start and a fixed iteration order keep the result
+deterministic down to the last bit for a given assembled system.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ class Multigrid:
     """One symmetric V(1,1)-cycle as a preconditioner: z = B r.
 
     levels: (A_l, P_l) from fine to coarse, P_0 = None and P_l the
-    interpolation from level l to level l - 1.  Each level but the
-    coarsest is smoothed by damped Jacobi with omega = 4 / (3 lam), lam
-    the Gershgorin bound max_i sum_j |a_ij| / a_ii >= lambda_max(D^-1 A).
+    interpolation from level l to level l - 1; A_l need not be
+    P_l^T A_{l-1} P_l.  Each level but the coarsest is smoothed by damped
+    Jacobi with omega = 4 / (3 lam), lam the Gershgorin bound
+    max_i sum_j |a_ij| / a_ii >= lambda_max(D^-1 A).
     The coarsest is solved densely when it has at most COARSEST_SIZE
     unknowns and scaled by its diagonal otherwise.  The cycle is a loop
     over the levels, not a recursive closure, so it holds no reference
@@ -222,42 +225,22 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         f"{precondition.n_levels} multigrid level(s)")
 
 
-def _coarse_levels(mesh, free: np.ndarray | None) -> list:
-    """The mu-free coarse operators below mesh: one (P_l, K_l, m_l) per
-    level, with K_l = P_l^T K_{l-1} P_l (Galerkin) and m_l = P_l^T m_{l-1}
-    (lumped), restricted to the free nodes: the interior nodes, starting
-    from Mesh.interior_stiffness, or all nodes for free=None.
-    Descends mesh.coarse until a level has at most COARSEST_SIZE free
-    nodes.  Cached on the mesh per free set; the fine level is not."""
-    key = "neumann" if free is None else "dirichlet"
-    if key in mesh.multigrid_levels:
-        return mesh.multigrid_levels[key]
-    if free is None:
-        k, m = mesh.stiffness, mesh.lumped_mass
-    else:
-        k, m = mesh.interior_stiffness, mesh.lumped_mass[free]
-    levels = []
-    link = mesh.coarse
-    while link is not None and k.shape[0] > COARSEST_SIZE:
-        p = link.prolongation
-        coarse_free = None if free is None else ~link.boundary_node
-        if free is not None:
-            p = p[free][:, coarse_free].tocsr()
-        k = p.T.tocsr() @ (k @ p)
-        m = p.T @ m
-        levels.append((p, k, m))
-        free, link = coarse_free, link.coarse
-    mesh.multigrid_levels[key] = levels
-    return levels
-
-
 def _multigrid(mesh, mu: float, matrix: sp.csr_matrix,
-               free: np.ndarray | None) -> Multigrid:
-    """The V-cycle for the fine system matrix on mesh at this mu: each
-    coarse level is K_l + mu^2 diag(m_l)."""
+               dirichlet: bool) -> Multigrid:
+    """The V-cycle for the fine system matrix on mesh at this mu.  Walks
+    mesh.coarse until a level has at most COARSEST_SIZE free nodes; each
+    coarse level is that mesh's K + mu^2 diag(m), on its interior nodes for
+    a Dirichlet solve (Mesh.interior_stiffness, Mesh.interior_prolongation)
+    and on all nodes otherwise."""
     levels = [(matrix, None)]
-    for p, k, m in _coarse_levels(mesh, free):
-        levels.append((k + sp.diags(mu * mu * m, format="csr"), p))
+    while mesh.coarse is not None and levels[-1][0].shape[0] > COARSEST_SIZE:
+        p = mesh.interior_prolongation if dirichlet else mesh.prolongation
+        mesh = mesh.coarse
+        if dirichlet:
+            k, m = mesh.interior_stiffness, mesh.lumped_mass[~mesh.boundary_node]
+        else:
+            k, m = mesh.stiffness, mesh.lumped_mass
+        levels.append((_shift_diagonal(k, mu * mu * m), p))
     return Multigrid(levels)
 
 
@@ -290,7 +273,7 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
     rhs = -(mesh.stiffness_row_sums[interior] + shift)
     w = solve_spd_system(
         SpdSystem(int(a_ii.shape[0]), a_ii, rhs,
-                  _multigrid(mesh, mu, a_ii, interior)), CG_TOLERANCE)
+                  _multigrid(mesh, mu, a_ii, True)), CG_TOLERANCE)
     values = np.ones(mesh.n_nodes)
     values[interior] += w
     return ScalarField(mesh, mu, values, resolution_ok, "dirichlet")
@@ -313,7 +296,7 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
     np.add.at(trace, be[:, 1], half_len)
     v = solve_spd_system(
         SpdSystem(mesh.n_nodes, operator, mu * trace,
-                  _multigrid(mesh, mu, operator, None)), CG_TOLERANCE)
+                  _multigrid(mesh, mu, operator, False)), CG_TOLERANCE)
     return ScalarField(mesh, mu, v, resolution_ok, "neumann")
 
 

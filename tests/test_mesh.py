@@ -7,7 +7,9 @@ theory.  Geometric assertions (areas, angle bounds, boundary placement)
 are the actual correctness checks.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
                               _neighbor_means, _signed_areas, _smooth,
                               mesh_quality, refine_uniform, save_mesh_text,
                               triangulate)
+from panharmonic.solver import solve_dirichlet, solve_neumann
 from strategies import star_polygons
 
 
@@ -266,11 +269,21 @@ class TestFastPaths:
             if case == "permuted":
                 m = self.permuted(m)
         got = _edge_topology(m.triangles, m.n_nodes)
-        ref = self.edge_topology_reference(m.triangles)
+        _, *ref = self.edge_topology_reference(m.triangles)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype
             assert np.array_equal(g, r)
-        assert np.array_equal(m._edges_unique, ref[1])
+        assert np.array_equal(m._edges_unique, ref[0])
+        self.assert_boundary_edges(m)
+
+    def assert_boundary_edges(self, m):
+        # The boundary edges are the triangle sides no other triangle
+        # shares, in the order of the stacked sides 01, 12, 20.
+        directed, _, inverse, counts = self.edge_topology_reference(m.triangles)
+        ref = directed[counts[inverse] == 1]
+        assert m.boundary_edges.dtype == ref.dtype
+        assert m.boundary_edges.shape == ref.shape
+        assert m.boundary_edges.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("name", ["l_shape", "disc", "heptagon", "skyline"])
     def test_refined_edge_topology(self, name):
@@ -283,12 +296,13 @@ class TestFastPaths:
         coarse = triangulate(dom, target_h)
         once = refine_uniform(coarse, dom)
         for m in (coarse, once, refine_uniform(once, dom)):
-            _, uniq, inverse, counts = _edge_topology(m.triangles, m.n_nodes)
+            uniq, inverse, counts = _edge_topology(m.triangles, m.n_nodes)
             for got, ref in ((m._edges_unique, uniq), (m._edge_inverse, inverse),
                              (m._edge_counts, counts)):
                 assert got.dtype == ref.dtype
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
+            self.assert_boundary_edges(m)
 
     @pytest.mark.parametrize("target_h", [0.5, 0.3, 0.1, 0.05])
     def test_disc_web(self, target_h, unit_disc):
@@ -314,55 +328,59 @@ def _disc_web_nodes(rings):
 
 
 class TestHierarchy:
-    """The coarse links that meshes keep for the multigrid solver."""
+    """The chain of coarse meshes that meshes keep for the multigrid solver."""
 
     @pytest.mark.parametrize("name", ["l_shape", "square", "heptagon"])
     def test_polygon_prolongation_is_refinement(self, name):
         dom = {"l_shape": l_shape(), "square": unit_square(),
                "heptagon": regular_polygon(7, radius=1.0)}[name]
         m = Mesh(dom.vertices, _ear_clip(dom.vertices))
-        assert m.coarse is None
+        assert m.coarse is None and m.prolongation is None
         chain = [m]
         for _ in range(3):
             chain.append(refine_uniform(chain[-1], dom))
         for coarse, fine in zip(chain, chain[1:]):
-            link = fine.coarse
-            assert link.prolongation.shape == (fine.n_nodes, coarse.n_nodes)
-            assert (link.prolongation @ coarse.nodes).tobytes() == fine.nodes.tobytes()
-            assert np.array_equal(link.boundary_node, coarse.boundary_node)
-            assert link.coarse is coarse.coarse
+            assert fine.coarse is coarse
+            p = fine.prolongation
+            assert p.shape == (fine.n_nodes, coarse.n_nodes)
+            assert (p @ coarse.nodes).tobytes() == fine.nodes.tobytes()
+        # Smoothing keeps the topology, so it keeps the coarse mesh and the
+        # prolongation too.
         smoothed = _smooth(chain[-1], 1.5 * chain[-1].h_max)
-        assert smoothed.coarse is chain[-1].coarse
+        assert smoothed.coarse is chain[-2]
+        assert smoothed.prolongation is chain[-1].prolongation
 
     def test_triangulate_keeps_chain_to_ear_clip(self, l_shape):
         m = triangulate(l_shape, 0.05)
-        depth, link = 0, m.coarse
-        while link.coarse is not None:
-            depth, link = depth + 1, link.coarse
-        # The bottom of the chain interpolates from the coarse mesh on the
-        # polygon's own vertices: the ear clip after Lawson flips.
-        assert link.prolongation.shape[1] == len(l_shape.vertices)
-        assert depth + 1 == 5  # coarse mesh, then five uniform refinements
+        depth, bottom = 0, m
+        while bottom.coarse is not None:
+            depth, bottom = depth + 1, bottom.coarse
+        # The chain ends at the coarse mesh on the polygon's own vertices:
+        # the ear clip after Lawson flips.
+        assert np.array_equal(bottom.nodes, l_shape.vertices)
+        assert np.array_equal(
+            bottom.triangles, _lawson_flip(l_shape.vertices, _ear_clip(l_shape.vertices)))
+        assert depth == 5  # five uniform refinements above the coarse mesh
 
     @pytest.mark.parametrize("target_h", [0.5, 0.1, 0.0106, 0.00265])
     def test_disc_prolongation(self, target_h, unit_disc):
         m = triangulate(unit_disc, target_h)
         rings = math.isqrt(m.n_triangles // 6)
-        link, fine_boundary = m.coarse, m.boundary_node
-        while link is not None:
+        while m.coarse is not None:
             coarse_rings = (rings + 1) // 2
-            p = link.prolongation
+            p, coarse = m.prolongation, m.coarse
             n_coarse = _disc_web_nodes(coarse_rings)
+            assert coarse.n_triangles == 6 * coarse_rings * coarse_rings
             assert p.shape == (_disc_web_nodes(rings), n_coarse)
             assert np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0).max() <= 1e-15
             assert p.data.min() > 0.0
             expected = np.zeros(n_coarse, dtype=bool)
             expected[-6 * coarse_rings:] = True
-            assert np.array_equal(link.boundary_node, expected)
+            assert np.array_equal(coarse.boundary_node, expected)
             # Boundary values come from the coarse boundary alone, so the
             # Dirichlet restriction drops nothing from them.
-            assert p[fine_boundary][:, ~link.boundary_node].nnz == 0
-            rings, fine_boundary, link = coarse_rings, link.boundary_node, link.coarse
+            assert p[m.boundary_node][:, ~coarse.boundary_node].nnz == 0
+            rings, m = coarse_rings, coarse
         assert rings == 1
 
     def test_disc_prolongation_interpolates_radius(self, unit_disc):
@@ -372,8 +390,30 @@ class TestHierarchy:
         coarse_rings = (math.isqrt(m.n_triangles // 6) + 1) // 2
         ring = np.arange(1, coarse_rings + 1)
         radius = np.concatenate([[0.0], np.repeat(ring, 6 * ring) / coarse_rings])
-        interp = m.coarse.prolongation @ radius
+        interp = m.prolongation @ radius
         assert np.abs(interp - np.hypot(*m.nodes.T)).max() < 1e-14
+
+    @pytest.mark.parametrize("name", ["l_shape", "disc"])
+    def test_chain_holds_no_reference_cycle(self, name):
+        # A mesh holds its coarse mesh and never the reverse, so dropping
+        # the fine mesh and its field frees the whole chain, cached
+        # operators included, without the cycle collector.
+        dom = l_shape() if name == "l_shape" else unit_disc()
+        gc.collect()
+        gc.disable()
+        try:
+            fine = triangulate(dom, 0.05)
+            field = solve_dirichlet(fine, 5.0)
+            solve_neumann(fine, 5.0)
+            refs, m = [], fine
+            while m is not None:
+                refs.append(weakref.ref(m))
+                m = m.coarse
+            assert len(refs) >= 3
+            del fine, field
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 @st.composite

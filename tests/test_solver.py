@@ -18,7 +18,9 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from panharmonic import mesh as meshing
 from panharmonic import solver
+from panharmonic.analysis import Ladder
 from panharmonic.geometry import unit_disc, unit_square, l_shape
 from panharmonic.geometry import Polygon, regular_polygon
 from panharmonic.mesh import Mesh, triangulate, refine_uniform
@@ -347,15 +349,95 @@ class TestMultigrid:
         ref = spsolve(operator.tocsc(), 10.0 * trace)
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
-    def test_coarse_operators_cached_per_mesh(self, unit_disc):
+    @staticmethod
+    def spy_preconditioners(monkeypatch):
+        seen = []
+        plain = solver.solve_spd_system
+
+        def spy(system, tol):
+            seen.append(system.preconditioner)
+            return plain(system, tol)
+
+        monkeypatch.setattr(solver, "solve_spd_system", spy)
+        return seen
+
+    @staticmethod
+    def count_operator_builds(monkeypatch):
+        calls = []
+        plain = meshing._symmetric_csr
+
+        def counted(*args):
+            calls.append(1)
+            return plain(*args)
+
+        monkeypatch.setattr(meshing, "_symmetric_csr", counted)
+        return calls
+
+    @staticmethod
+    def assert_coarse_levels(mesh, mu, cycle):
+        # Level l + 1 is the l-th coarse mesh's own interior operator at mu.
+        for a, p in zip(cycle.matrices[1:], cycle.prolongations):
+            assert p is mesh.interior_prolongation
+            mesh = mesh.coarse
+            m = mesh.lumped_mass[~mesh.boundary_node]
+            assert_same_csr(a, solver._shift_diagonal(mesh.interior_stiffness, mu * mu * m))
+
+    def test_coarse_operators_cached_per_mesh(self, unit_disc, monkeypatch):
         m = triangulate(unit_disc, 0.02)
+        seen = self.spy_preconditioners(monkeypatch)
         solve_dirichlet(m, 2.0)
-        levels = m.multigrid_levels["dirichlet"]
+        k = m.coarse.interior_stiffness
+        builds = self.count_operator_builds(monkeypatch)
         solve_dirichlet(m, 5.0)
-        assert m.multigrid_levels["dirichlet"] is levels
-        assert len(levels) >= 2
-        assert levels[-1][1].shape[0] <= solver.COARSEST_SIZE
-        assert all(k.shape[0] > solver.COARSEST_SIZE for _, k, _ in levels[:-1])
+        # The second mu builds no mu-free operator, and every coarse level
+        # comes from the same cached one.
+        assert not builds
+        assert m.coarse.interior_stiffness is k
+        first, second = seen
+        assert first.n_levels == second.n_levels >= 3
+        assert second.matrices[-1].shape[0] <= solver.COARSEST_SIZE
+        assert all(a.shape[0] > solver.COARSEST_SIZE for a in second.matrices[:-1])
+        self.assert_coarse_levels(m, 2.0, first)
+        self.assert_coarse_levels(m, 5.0, second)
+
+    @pytest.mark.parametrize("name", ["l_shape", "square", "heptagon"])
+    def test_rediscretization_equals_galerkin(self, name):
+        # On nested P1 spaces the Galerkin operators of a uniform refinement
+        # are the parent's own, which is why multigrid can use each coarse
+        # mesh's cached operators.
+        dom = {"l_shape": l_shape(), "square": unit_square(),
+               "heptagon": regular_polygon(7, radius=1.0)}[name]
+        parent = triangulate(dom, 0.05)
+        child = refine_uniform(parent, dom)
+        assert child.coarse is parent
+        interior = ~child.boundary_node
+        for p, k, m, k_parent, m_parent in (
+                (child.prolongation, child.stiffness, child.lumped_mass,
+                 parent.stiffness, parent.lumped_mass),
+                (child.interior_prolongation, child.interior_stiffness,
+                 child.lumped_mass[interior], parent.interior_stiffness,
+                 parent.lumped_mass[~parent.boundary_node])):
+            galerkin = (p.T @ k @ p).tocsr()
+            assert abs(galerkin - k_parent).max() <= 1e-12 * abs(k_parent).max()
+            assert np.all(np.abs(p.T @ m - m_parent) <= 1e-14 * m_parent)
+
+    def test_ladder_child_reuses_parent_operators(self, l_shape, monkeypatch):
+        seen = self.spy_preconditioners(monkeypatch)
+        rungs = iter(Ladder(l_shape, triangulate(l_shape, 0.1), [2.0, 6.0]))
+        mu, parent = next(rungs)
+        solve_dirichlet(parent, mu)
+        k = parent.interior_stiffness
+        builds = self.count_operator_builds(monkeypatch)
+        mu, child = next(rungs)
+        solve_dirichlet(child, mu)
+        assert child.coarse is parent
+        assert parent.interior_stiffness is k
+        # Only the child's own interior block is built; the coarse level is
+        # the parent's, as solved at the previous mu.
+        assert len(builds) == 1
+        cycle = seen[-1]
+        assert cycle.n_levels == 2
+        self.assert_coarse_levels(child, mu, cycle)
 
     def test_preconditioner_freed_after_solve(self, l_shape, monkeypatch):
         m = refine_uniform(triangulate(l_shape, 0.05), l_shape)

@@ -29,6 +29,9 @@ import numpy as np
 # Relative tolerance for "on the boundary" / "coincident vertices" tests,
 # multiplied by the bounding-box diagonal.
 GEOMETRIC_TOL = 1e-12
+# boundary_distance_batch works on this many point-edge pairs at a time,
+# which holds its temporaries to about 56 MiB.
+_CHUNK_PAIRS = 2**20
 
 
 class Point2(NamedTuple):
@@ -238,7 +241,8 @@ def boundary_distance_batch(domain: Domain, points: np.ndarray) -> np.ndarray:
     """Vectorized |boundary distance| for an (n, 2) array of interior points.
 
     No containment check is performed; exterior points get their unsigned
-    distance to the boundary curve.
+    distance to the boundary curve.  Polygons are processed in chunks of
+    points, each row with the same arithmetic, so memory stays bounded.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -249,13 +253,18 @@ def boundary_distance_batch(domain: Domain, points: np.ndarray) -> np.ndarray:
     v = domain.vertices
     a = v[None, :, :]                                # (1, E, 2)
     ab = (np.roll(v, -1, axis=0) - v)[None, :, :]     # (1, E, 2)
-    ap = pts[:, None, :] - a                          # (n, E, 2)
     denom = np.einsum("nej,nej->ne", ab, ab)
-    t = np.einsum("nej,nej->ne", ap, ab) / denom
-    np.clip(t, 0.0, 1.0, out=t)
-    foot = ap - t[:, :, None] * ab
-    d = np.sqrt(np.einsum("nej,nej->ne", foot, foot))
-    return d.min(axis=1)
+    out = np.empty(pts.shape[0])
+    step = max(1, _CHUNK_PAIRS // v.shape[0])
+    for start in range(0, pts.shape[0], step):
+        ap = pts[start:start + step, None, :] - a     # (chunk, E, 2)
+        t = np.einsum("nej,nej->ne", ap, ab) / denom
+        np.clip(t, 0.0, 1.0, out=t)
+        foot = ap - t[:, :, None] * ab
+        d = np.sqrt(np.einsum("nej,nej->ne", foot, foot))
+        out[start:start + step] = d.min(axis=1)
+        del ap, t, foot, d  # else they live on while the next chunk allocates
+    return out
 
 
 def contains_point(domain: Domain, p) -> bool:

@@ -100,8 +100,8 @@ class Mesh:
         lengths = np.hypot(e[:, 0], e[:, 1])
         normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
 
-        for arr in (nodes, triangles, boundary_node, boundary_dir, normals,
-                    uniq, inverse, counts):
+        for arr in (nodes, triangles, areas, boundary_node, boundary_dir,
+                    normals, uniq, inverse, counts):
             arr.setflags(write=False)
         self.nodes = nodes
         self.triangles = triangles
@@ -150,12 +150,10 @@ class Mesh:
         # Column i holds p_{i+2} - p_{i+1}.
         ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
         ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
-        areas = 0.5 * (ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2])
-        twice = (2.0 * areas)[:, None]
+        twice = (2.0 * self._areas)[:, None]
         grads = np.stack([-ey / twice, ex / twice], axis=2)
         grads.setflags(write=False)
-        areas.setflags(write=False)
-        return grads, areas
+        return grads, self._areas
 
     @cached_property
     def stiffness_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -234,39 +232,17 @@ class Mesh:
 def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
                    diag: np.ndarray) -> sp.csr_matrix:
     """The symmetric CSR matrix with diagonal diag and off[e] at both
-    (lo, hi) and (hi, lo) of edges[e], for edges sorted by (lo, hi) with
-    lo < hi.  Exact zeros in off are not stored.  Raises AssertionError
-    unless the result is exactly symmetric; its arrays are read-only.
-
-    The edges are the upper half in CSR order already; the lower half is
-    their transpose (one counting pass, rows sorted by column), and row i
-    is its lower entries, then the diagonal, then its upper entries.
+    (lo, hi) and (hi, lo) of edges[e], by scipy's COO -> CSR conversion;
+    no entry is duplicated, so nothing is summed.  Exact zeros in off are
+    not stored.  Raises AssertionError unless the result is exactly
+    symmetric; its arrays are read-only.
     """
     n = diag.shape[0]
     keep = off != 0.0
-    lo, hi, off = edges[keep, 0], edges[keep, 1], off[keep]
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n), out=upper_ptr[1:])
-    lower = sp.csr_matrix((off, hi.astype(index), upper_ptr),
-                          shape=(n, n)).T.tocsr()
-    lower_ptr = lower.indptr.astype(np.int64)
-    rows = np.arange(n)
-    # Each half keeps its order and sits just before or just after the
-    # diagonal of its row.
-    diag_at = lower_ptr[1:] + upper_ptr[:-1] + rows
-    edge = np.arange(off.shape[0])
-    lower_at = edge + np.repeat(diag_at - lower_ptr[1:], np.diff(lower_ptr))
-    upper_at = edge + np.repeat(diag_at + 1 - upper_ptr[:-1], np.diff(upper_ptr))
-
-    nnz = n + 2 * off.shape[0]
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index)
-    data[lower_at], indices[lower_at] = lower.data, lower.indices
-    data[diag_at], indices[diag_at] = diag, rows
-    data[upper_at], indices[upper_at] = off, hi
-    indptr = (lower_ptr + upper_ptr + np.arange(n + 1)).astype(index)
-    k = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    lo, hi, nodes = edges[keep, 0], edges[keep, 1], np.arange(n)
+    rows, cols = np.concatenate([lo, hi, nodes]), np.concatenate([hi, lo, nodes])
+    k = sp.csr_matrix((np.concatenate([off[keep], off[keep], diag]), (rows, cols)),
+                      shape=(n, n))
     skew = k - k.T
     if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
         raise AssertionError("stiffness matrix is not exactly symmetric")

@@ -7,23 +7,24 @@ system an M-matrix on nonobtuse meshes and makes the discrete bound
 imposed strongly through the lift v = 1 + w with w = 0 on the boundary;
 Neumann data dv/dn = mu enters as the boundary functional mu * integral(phi ds).
 
-Operators come from the mu-free pieces each mesh caches (mesh.Mesh): the
-stiffness K, built from one weight per unique edge plus a diagonal summed
-in triangle order, its interior block K_II, its row sums K 1 and the
-lumped mass m.  A Neumann solve uses A = K + mu^2 diag(m).  A Dirichlet
-solve uses A_II = K_II + mu^2 diag(m_I) with right-hand side
--(K 1 + mu^2 m)_I, so it never builds the full K or A.
+Every operator is one recipe (_operator): the mu-free stiffness a mesh
+caches (mesh.Mesh) shifted by mu^2 times the lumped mass m on the free
+nodes.  A Neumann solve frees all nodes, A = K + mu^2 diag(m); a Dirichlet
+solve frees the interior ones, A_II = K_II + mu^2 diag(m_I), with
+right-hand side -(K 1 + mu^2 m)_I from the cached row sums K 1, so it never
+builds the full K or A.
 
 The linear solve is conjugate gradients preconditioned by one symmetric
 V(1,1)-cycle of geometric multigrid over the chain of meshes each mesh
-keeps (Mesh.coarse, Mesh.prolongation).  Each coarse level is its own
-mesh's operator at the same mu, rediscretized from that mesh's cached
-mu-free pieces; on nested P1 spaces this equals the Galerkin product
-P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin bound, and
-a level with at most COARSEST_SIZE free nodes is solved densely.  A system
-without a coarse mesh and above that size falls back to diagonal scaling,
-i.e. Jacobi-PCG.  Zero start and a fixed iteration order keep the result
-deterministic down to the last bit for a given assembled system.
+keeps (Mesh.coarse, Mesh.prolongation).  Every level, the fine one
+included, is its own mesh's operator at the same mu by that recipe; on
+nested P1 spaces a coarse level so rediscretized equals the Galerkin
+product P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin
+bound, and a level with at most COARSEST_SIZE free nodes is solved
+densely.  A system without a coarse mesh and above that size falls back to
+diagonal scaling, i.e. Jacobi-PCG.  Zero start and a fixed iteration order
+keep the result deterministic down to the last bit for a given assembled
+system.
 """
 
 from __future__ import annotations
@@ -148,26 +149,32 @@ class SpdSystem:
     """A x = b with A symmetric positive definite.  preconditioner: the
     Multigrid cycle to use; None means the single-level cycle built from
     the matrix itself (dense below COARSEST_SIZE, Jacobi above)."""
-    dimension: int
     matrix: sp.csr_matrix
     rhs: np.ndarray
     preconditioner: Multigrid | None = None
 
 
 def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble the operator A = K + mu^2 diag(m) and return (A, m).
+    """The Neumann operator A = K + mu^2 diag(m) on all nodes, and m.
 
-    K is the P1 stiffness matrix, built from one weight per unique edge
-    plus a diagonal summed in triangle order, with exact zeros not stored;
-    m is the lumped mass vector (one third of the adjacent triangle area
-    per node).  Both are built once per mesh and cached on it
+    K is the P1 stiffness matrix and m the lumped mass vector (one third
+    of the adjacent triangle area per node), both cached on the mesh
     (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is read-only.  A is
-    exactly symmetric: K is verified to be, and the added term is diagonal.
-    Dirichlet solves do not go through here: they use the interior block
-    ``Mesh.interior_stiffness`` and never build the full A.
+    a fresh matrix, exactly symmetric: K is verified to be, and the added
+    term is diagonal.  Exact zeros of K are not stored.
     """
-    lumped = mesh.lumped_mass
-    return _shift_diagonal(mesh.stiffness, mu * mu * lumped), lumped
+    return _operator(mesh, mu, False), mesh.lumped_mass
+
+
+def _operator(mesh, mu: float, dirichlet: bool) -> sp.csr_matrix:
+    """The system matrix on mesh at this mu: K_II + mu^2 diag(m_I) on the
+    interior nodes for a Dirichlet solve, K + mu^2 diag(m) on all nodes
+    otherwise."""
+    if dirichlet:
+        k, m = mesh.interior_stiffness, mesh.lumped_mass[~mesh.boundary_node]
+    else:
+        k, m = mesh.stiffness, mesh.lumped_mass
+    return _shift_diagonal(k, mu * mu * m)
 
 
 def _shift_diagonal(k: sp.csr_matrix, shift: np.ndarray) -> sp.csr_matrix:
@@ -185,22 +192,23 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
     Jacobi-PCG).
 
     Returns x with ||b - A x|| <= tol * ||b||.  Deterministic.  The cap of
-    20 * sqrt(dimension) iterations is generous for the systems assembled
-    here; hitting it raises ConvergenceError.
+    20 * sqrt(n) iterations for n unknowns is generous for the systems
+    assembled here; hitting it raises ConvergenceError.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must be in (0, 1e-4]")
     a, b = system.matrix, system.rhs
+    n = b.shape[0]
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros(system.dimension)
+        return np.zeros(n)
     precondition = system.preconditioner or Multigrid([(a, None)])
-    x = np.zeros(system.dimension)
+    x = np.zeros(n)
     r = b.copy()
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    cap = max(1, math.ceil(20.0 * math.sqrt(system.dimension)))
+    cap = max(1, math.ceil(20.0 * math.sqrt(n)))
     # Every update runs in place: the product a @ p is the only fresh vector
     # per iteration besides the preconditioner's, and its buffer is reused
     # for both scaled updates once p @ ap is taken.
@@ -225,22 +233,17 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         f"{precondition.n_levels} multigrid level(s)")
 
 
-def _multigrid(mesh, mu: float, matrix: sp.csr_matrix,
-               dirichlet: bool) -> Multigrid:
-    """The V-cycle for the fine system matrix on mesh at this mu.  Walks
-    mesh.coarse until a level has at most COARSEST_SIZE free nodes; each
-    coarse level is that mesh's K + mu^2 diag(m), on its interior nodes for
-    a Dirichlet solve (Mesh.interior_stiffness, Mesh.interior_prolongation)
-    and on all nodes otherwise."""
-    levels = [(matrix, None)]
+def _multigrid(mesh, mu: float, dirichlet: bool) -> Multigrid:
+    """The V-cycle on mesh at this mu.  Level 0 is mesh's own operator
+    (_operator) and each further level that of the next mesh down
+    mesh.coarse, until a level has at most COARSEST_SIZE free nodes.  A
+    Dirichlet cycle transfers between interior nodes
+    (Mesh.interior_prolongation), a Neumann one between all nodes."""
+    levels = [(_operator(mesh, mu, dirichlet), None)]
     while mesh.coarse is not None and levels[-1][0].shape[0] > COARSEST_SIZE:
         p = mesh.interior_prolongation if dirichlet else mesh.prolongation
         mesh = mesh.coarse
-        if dirichlet:
-            k, m = mesh.interior_stiffness, mesh.lumped_mass[~mesh.boundary_node]
-        else:
-            k, m = mesh.stiffness, mesh.lumped_mass
-        levels.append((_shift_diagonal(k, mu * mu * m), p))
+        levels.append((_operator(mesh, mu, dirichlet), p))
     return Multigrid(levels)
 
 
@@ -268,12 +271,9 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
     interior = ~mesh.boundary_node
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
-    shift = mu * mu * mesh.lumped_mass[interior]
-    a_ii = _shift_diagonal(mesh.interior_stiffness, shift)
-    rhs = -(mesh.stiffness_row_sums[interior] + shift)
-    w = solve_spd_system(
-        SpdSystem(int(a_ii.shape[0]), a_ii, rhs,
-                  _multigrid(mesh, mu, a_ii, True)), CG_TOLERANCE)
+    cycle = _multigrid(mesh, mu, True)
+    rhs = -(mesh.stiffness_row_sums + mu * mu * mesh.lumped_mass)[interior]
+    w = solve_spd_system(SpdSystem(cycle.matrices[0], rhs, cycle), CG_TOLERANCE)
     values = np.ones(mesh.n_nodes)
     values[interior] += w
     return ScalarField(mesh, mu, values, resolution_ok, "dirichlet")
@@ -287,16 +287,15 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
     maximum-principle bound holds: values exceed 1 near the boundary.
     """
     resolution_ok = _check_resolution(mesh, mu)
-    operator, _ = assemble(mesh, mu)
     be = mesh.boundary_edges
     seg = mesh.nodes[be[:, 1]] - mesh.nodes[be[:, 0]]
     half_len = 0.5 * np.hypot(seg[:, 0], seg[:, 1])
     trace = np.zeros(mesh.n_nodes)
     np.add.at(trace, be[:, 0], half_len)
     np.add.at(trace, be[:, 1], half_len)
-    v = solve_spd_system(
-        SpdSystem(mesh.n_nodes, operator, mu * trace,
-                  _multigrid(mesh, mu, operator, False)), CG_TOLERANCE)
+    cycle = _multigrid(mesh, mu, False)
+    v = solve_spd_system(SpdSystem(cycle.matrices[0], mu * trace, cycle),
+                         CG_TOLERANCE)
     return ScalarField(mesh, mu, v, resolution_ok, "neumann")
 
 

@@ -72,7 +72,12 @@ def bessel_i1(z):
 
 
 def log_bessel_i0(z):
-    """log I0(z), overflow-free for large z."""
+    """log I0(z), overflow-free for large z.
+
+    Near z = 0, where I0(z) ~ 1, the result is accurate to a few ulp of 1
+    in absolute terms (about 6e-16 on [1e-3, 1]), not relative to its own
+    size: at z = 1e-3 the relative error is about 7e-10.
+    """
     sp = _scipy_special()
     return _log(z, sp.i0, sp.i0e)
 

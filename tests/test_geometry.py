@@ -7,10 +7,12 @@ that level certifies the analytic segment projections independently.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from panharmonic import geometry
 from panharmonic.geometry import (Disc, Point2, Polygon, ProbeDisc,
                                   boundary_distance_batch, contains_point,
                                   disc_mean_distance, distance_to_boundary,
@@ -107,6 +109,25 @@ class TestDistance:
         batch = boundary_distance_batch(l_shape, pts)
         for p, d in zip(pts, batch):
             assert d == pytest.approx(distance_to_boundary(l_shape, p), rel=1e-14)
+
+    def test_batch_memory_is_chunked(self):
+        # 20,000 points against 800 edges: one (n, E, 2) pass would peak
+        # near 850 MiB.  Chunking bounds it without changing any row, so
+        # rows on both sides of a chunk boundary equal single-point calls
+        # bit for bit.
+        polygon = regular_polygon(800)
+        pts = np.random.default_rng(3).uniform(-0.7, 0.7, (20_000, 2))
+        tracemalloc.start()
+        try:
+            batch = boundary_distance_batch(polygon, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        step = geometry._CHUNK_PAIRS // 800
+        for row in (0, step - 1, step, 2 * step, len(pts) - 1):
+            single = boundary_distance_batch(polygon, pts[row:row + 1])
+            assert single.tobytes() == batch[row:row + 1].tobytes()
 
 
 class TestContainment:

@@ -96,6 +96,7 @@ class TestAssembly:
         u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         signed = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
         assert m.triangle_areas().tobytes() == signed.tobytes()
+        assert m.hat_gradients[1] is m.triangle_areas()
         k = m.stiffness
         assert np.array_equal(k.indptr, ref_k.indptr)
         assert np.array_equal(k.indices, ref_k.indices)
@@ -164,17 +165,17 @@ class TestConjugateGradient:
         a = operator[interior][:, interior].tocsr()
         rng = np.random.default_rng(11)
         b = rng.standard_normal(a.shape[0])
-        got = solve_spd_system(SpdSystem(a.shape[0], a, b), 1e-12)
+        got = solve_spd_system(SpdSystem(a, b), 1e-12)
         ref = np.linalg.solve(a.toarray(), b)
         assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
 
     def test_identity_system(self):
         b = np.array([2.0, -1.0, 0.5])
-        x = solve_spd_system(SpdSystem(3, sp.eye(3, format="csr"), b), 1e-12)
+        x = solve_spd_system(SpdSystem(sp.eye(3, format="csr"), b), 1e-12)
         assert np.allclose(x, b, rtol=1e-12)
 
     def test_zero_rhs_short_circuits(self):
-        x = solve_spd_system(SpdSystem(2, sp.eye(2, format="csr"),
+        x = solve_spd_system(SpdSystem(sp.eye(2, format="csr"),
                                        np.zeros(2)), 1e-10)
         assert np.array_equal(x, np.zeros(2))
 
@@ -188,10 +189,10 @@ class TestConjugateGradient:
                            match=r"within 490 iterations: final relative "
                                  r"residual \d\.\d{3}e[-+]\d+, 1 multigrid level"):
             solve_spd_system(SpdSystem(
-                n, a, np.random.default_rng(5).standard_normal(n)), 1e-12)
+                a, np.random.default_rng(5).standard_normal(n)), 1e-12)
 
     def test_tolerance_validation(self):
-        system = SpdSystem(1, sp.eye(1, format="csr"), np.ones(1))
+        system = SpdSystem(sp.eye(1, format="csr"), np.ones(1))
         for bad in (0.0, -1e-8, 2e-4):
             with pytest.raises(ValueError):
                 solve_spd_system(system, bad)
@@ -438,6 +439,23 @@ class TestMultigrid:
         cycle = seen[-1]
         assert cycle.n_levels == 2
         self.assert_coarse_levels(child, mu, cycle)
+
+    def test_operators_are_canonical_csr(self, l_shape, monkeypatch):
+        # Sorted column indices and no duplicates in every row, read from
+        # the arrays afresh rather than from scipy's cached flag.
+        def canonical(a):
+            return sp.csr_matrix((a.data, a.indices, a.indptr),
+                                 shape=a.shape).has_canonical_format
+
+        m = refine_uniform(triangulate(l_shape, 0.05), l_shape)
+        seen = self.spy_preconditioners(monkeypatch)
+        solve_dirichlet(m, 10.0)
+        solve_neumann(m, 10.0)
+        assert canonical(m.stiffness) and canonical(m.interior_stiffness)
+        assert len(seen) == 2
+        for cycle in seen:
+            assert cycle.n_levels >= 2
+            assert all(canonical(a) for a in cycle.matrices)
 
     def test_preconditioner_freed_after_solve(self, l_shape, monkeypatch):
         m = refine_uniform(triangulate(l_shape, 0.05), l_shape)

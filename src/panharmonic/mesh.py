@@ -2,10 +2,12 @@
 
 Polygons are ear-clipped to a coarse triangulation on their own vertices,
 whose interior edges are then flipped to the constrained Delaunay
-triangulation (Lawson flips), refined uniformly until the edge-length target
-holds, then relaxed by a few guarded Laplacian sweeps (interior nodes only).
-Discs get a structured concentric web whose boundary nodes sit exactly on
-the circle at every refinement level.
+triangulation (Lawson flips), then refined uniformly until the edge-length
+target holds.  Midpoint refinement splits each triangle into four similar
+to it, so every level keeps the coarse mesh's angles exactly, and a
+nonobtuse coarse mesh gives an M-matrix at every level.  Discs get a
+structured concentric web whose boundary nodes sit exactly on the circle
+at every refinement level.
 
 Every mesh built here keeps the Mesh it was built from (Mesh.coarse) and the
 interpolation from that mesh's nodes to its own (Mesh.prolongation): the
@@ -15,7 +17,7 @@ The solver's multigrid preconditioner runs over that chain of meshes, each
 level with the operators its own mesh caches.
 
 Everything here is deterministic: no randomization, fixed iteration orders,
-and refinement/smoothing that depend only on the input mesh.
+and refinement that depends only on the input mesh.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import scipy.sparse as sp
 from .geometry import Disc, Domain, Polygon, domain_scale
 
 TRIANGLE_BUDGET = 2_000_000
-SMOOTHING_SWEEPS = 10
 # Longest edge of the disc web is the first sector diagonal of each annulus,
 # sqrt(1 + (pi/3)^2) ~ 1.448 times the ring spacing.
 _DISC_EDGE_FACTOR = 1.4480
@@ -408,48 +409,6 @@ def _in_circumcircle(vertices, a, b, c, d) -> bool:
     return sum(terms) > 1e-12 * sum(abs(x) for x in terms)
 
 
-def _neighbor_means(nodes: np.ndarray, edges: np.ndarray):
-    n = nodes.shape[0]
-    # Each node sums its neighbours over edges where it is the first end,
-    # then over edges where it is the second, in edge order.
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    others = np.concatenate([edges[:, 1], edges[:, 0]])
-    acc = np.column_stack([np.bincount(ends, weights=nodes[others, d], minlength=n)
-                           for d in range(2)])
-    return acc / np.bincount(ends, minlength=n)[:, None]
-
-
-def _smooth(mesh: Mesh, h_cap: float, sweeps: int = SMOOTHING_SWEEPS) -> Mesh:
-    """Laplacian relaxation of interior nodes, guarded against inversion,
-    against stretching any edge beyond h_cap, and against any angle falling
-    below half the smallest angle of the input mesh."""
-    nodes = mesh.nodes.copy()
-    interior = ~mesh.boundary_node
-    if not np.any(interior):
-        return mesh
-    tris = mesh.triangles
-    edges = mesh._edges_unique
-    angle_floor = 0.5 * _angles_and_sides(nodes, tris)[0].min()
-    for _ in range(sweeps):
-        target = _neighbor_means(nodes, edges)
-        blend = 1.0
-        for _ in range(3):
-            cand = nodes.copy()
-            cand[interior] += blend * (target[interior] - nodes[interior])
-            areas = _signed_areas(cand, tris)
-            e = cand[edges[:, 1]] - cand[edges[:, 0]]
-            if (areas.min() > 0.0 and np.hypot(e[:, 0], e[:, 1]).max() <= h_cap
-                    and _angles_and_sides(cand, tris)[0].min() >= angle_floor):
-                nodes = cand
-                break
-            blend *= 0.5
-        # all blends rejected: keep nodes as they are for this sweep
-    # Smoothing keeps the topology, so the input's edges, coarse mesh and
-    # prolongation still apply.
-    return Mesh(nodes, tris, (mesh.coarse, mesh.prolongation),
-                (edges, mesh._edge_inverse, mesh._edge_counts))
-
-
 def _disc_web(disc: Disc, rings: int) -> Mesh:
     """The concentric web of the disc with the given number of rings, built
     on the web with ceil(rings/2) rings down to one ring.  Ring counts are
@@ -525,9 +484,10 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h.
 
     Polygons: ear clipping, Lawson flips to the constrained Delaunay
-    triangulation of the polygon's vertices, uniform refinement until the
-    bound holds, then guarded Laplacian smoothing.  Discs: structured
-    concentric web with all boundary nodes exactly on the circle.
+    triangulation of the polygon's vertices, then uniform refinement until
+    the bound holds; the result is that refinement as it is, nested in the
+    chain down to the coarse mesh and with exactly its angles.  Discs:
+    structured concentric web with all boundary nodes exactly on the circle.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
@@ -543,10 +503,9 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
 
     vertices = domain.vertices
     mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
-    h_cap = 1.5 * target_h
-    while mesh.h_max > h_cap:
+    while mesh.h_max > 1.5 * target_h:
         mesh = refine_uniform(mesh, domain)
-    return _smooth(mesh, h_cap)
+    return mesh
 
 
 def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and test domains shared by the test modules."""
 
 import numpy as np
 from hypothesis import reject
@@ -18,3 +18,12 @@ def star_polygons(draw):
         reject()
     radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
     return Polygon(np.column_stack([radii * np.cos(theta), radii * np.sin(theta)]))
+
+
+def skyline(heights, step=0.4) -> Polygon:
+    """Rectilinear polygon: columns of width step and the given heights."""
+    xs = [round(i * step, 10) for i in range(len(heights) + 1)]
+    verts = [[0.0, 0.0], [xs[-1], 0.0]]
+    for i in reversed(range(len(heights))):
+        verts += [[xs[i + 1], heights[i]], [xs[i], heights[i]]]
+    return Polygon(verts)

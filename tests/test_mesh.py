@@ -13,27 +13,17 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from panharmonic.geometry import (Polygon, unit_disc, unit_square, l_shape,
+from panharmonic.geometry import (domain_scale, unit_disc, unit_square, l_shape,
                                   regular_polygon)
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
                               _ear_clip, _edge_topology, _lawson_flip,
-                              _neighbor_means, _signed_areas, _smooth,
-                              mesh_quality, refine_uniform, save_mesh_text,
-                              triangulate)
+                              _signed_areas, mesh_quality, refine_uniform,
+                              save_mesh_text, triangulate)
 from panharmonic.solver import solve_dirichlet, solve_neumann
-from strategies import star_polygons
-
-
-def skyline(heights, step=0.4) -> Polygon:
-    """Rectilinear polygon: columns of width step and the given heights."""
-    xs = [round(i * step, 10) for i in range(len(heights) + 1)]
-    verts = [[0.0, 0.0], [xs[-1], 0.0]]
-    for i in reversed(range(len(heights))):
-        verts += [[xs[i + 1], heights[i]], [xs[i], heights[i]]]
-    return Polygon(verts)
+from strategies import skyline, star_polygons
 
 
 class TestSquare:
@@ -99,7 +89,7 @@ class TestPolygonGeneral:
     def test_l_shape(self, l_shape):
         m = triangulate(l_shape, 0.05)
         assert (m.n_nodes, m.n_triangles) == (2145, 4096)
-        assert m.h_max == pytest.approx(0.06971901888305465, rel=1e-15)
+        assert m.h_max == pytest.approx(0.0625, rel=1e-15)
         assert m.h_max <= 1.5 * 0.05
         assert m.triangle_areas().sum() == pytest.approx(3.0, rel=1e-13)
         # The Delaunay coarse mesh has no obtuse triangle, so K is an
@@ -197,9 +187,10 @@ def test_save_mesh_text(tmp_path, unit_square):
     assert [int(i), int(j), int(k)] == m.triangles[0].tolist()
 
 
-# Ear clipping of these skylines leaves slivers on the rectilinear steps;
-# smoothing used to flatten them to 0 degrees, and refining the result then
-# failed with "degenerate or flipped".
+# Ear clipping of these skylines leaves slivers on the rectilinear steps; a
+# former smoothing pass flattened them to 0 degrees, and refining the result
+# then failed with "degenerate or flipped". triangulate must keep at least
+# half the ear clip's smallest angle and still refine to 4x triangles.
 @pytest.mark.parametrize("heights", [
     (0.4, 1.2, 0.8, 0.4, 1.2), (1.2, 0.4, 0.8, 1.2, 0.8),
     (1.2, 0.4, 0.8, 1.2, 0.4), (1.2, 0.8, 1.2, 0.8, 0.4),
@@ -287,9 +278,9 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("name", ["l_shape", "disc", "heptagon", "skyline"])
     def test_refined_edge_topology(self, name):
-        # refine_uniform derives the child's edges from the parent's, and
-        # smoothing (the last step of triangulate on polygons) keeps them;
-        # the disc refines its web with midpoints projected onto the circle.
+        # refine_uniform derives the child's edges from the parent's (the
+        # last step of triangulate on polygons); the disc refines its web
+        # with midpoints projected onto the circle.
         dom, target_h = {"l_shape": (l_shape(), 0.1), "disc": (unit_disc(), 0.2),
                          "heptagon": (regular_polygon(7, radius=1.0), 0.2),
                          "skyline": (skyline((1.2, 0.4, 0.8, 1.2, 0.4)), 0.1)}[name]
@@ -310,17 +301,6 @@ class TestFastPaths:
         rings = math.isqrt(m.n_triangles // 6)
         assert 6 * rings * rings == m.n_triangles
         assert np.array_equal(m.triangles, self.disc_web_reference(rings))
-
-    def test_neighbor_means(self, l_shape):
-        m = self.permuted(triangulate(l_shape, 0.1))
-        edges = m._edges_unique
-        acc = np.zeros_like(m.nodes)
-        cnt = np.zeros(m.n_nodes)
-        np.add.at(acc, edges[:, 0], m.nodes[edges[:, 1]])
-        np.add.at(acc, edges[:, 1], m.nodes[edges[:, 0]])
-        np.add.at(cnt, edges.ravel(), 1.0)
-        ref = acc / cnt[:, None]
-        assert _neighbor_means(m.nodes, edges).tobytes() == ref.tobytes()
 
 
 def _disc_web_nodes(rings):
@@ -344,11 +324,6 @@ class TestHierarchy:
             p = fine.prolongation
             assert p.shape == (fine.n_nodes, coarse.n_nodes)
             assert (p @ coarse.nodes).tobytes() == fine.nodes.tobytes()
-        # Smoothing keeps the topology, so it keeps the coarse mesh and the
-        # prolongation too.
-        smoothed = _smooth(chain[-1], 1.5 * chain[-1].h_max)
-        assert smoothed.coarse is chain[-2]
-        assert smoothed.prolongation is chain[-1].prolongation
 
     def test_triangulate_keeps_chain_to_ear_clip(self, l_shape):
         m = triangulate(l_shape, 0.05)
@@ -479,3 +454,36 @@ class TestLawsonFlip:
         ears = _ear_clip(l_shape.vertices)
         assert mesh_quality(Mesh(l_shape.vertices, ears)).max_angle > 90.0 + 1e-9
         assert_nonobtuse(Mesh(l_shape.vertices, _lawson_flip(l_shape.vertices, ears)))
+
+
+class TestSimilarRefinement:
+    """Midpoint refinement splits each triangle into four similar to it, so
+    every level of a triangulate chain has exactly the angles of the coarse
+    mesh at its bottom, and each level's nodes are the prolongation of the
+    level below: the P1 spaces are nested."""
+
+    L_SHAPE, HEPTAGON = l_shape(), regular_polygon(7, radius=1.0)
+
+    # The second argument is target_h as a fraction of the domain scale.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), star_polygons()), st.sampled_from([0.1, 0.04]))
+    @example(L_SHAPE, 0.0125 / domain_scale(L_SHAPE))
+    @example(HEPTAGON, 0.05 / domain_scale(HEPTAGON))
+    def test_chain_is_nested_and_similar(self, polygon, fraction):
+        try:
+            fine = triangulate(polygon, fraction * domain_scale(polygon))
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        chain = [fine]
+        while chain[-1].coarse is not None:
+            chain.append(chain[-1].coarse)
+        bottom = mesh_quality(chain[-1])
+        for level in chain[:-1]:
+            q = mesh_quality(level)
+            assert abs(q.min_angle - bottom.min_angle) <= 1e-9
+            assert abs(q.max_angle - bottom.max_angle) <= 1e-9
+            p = level.prolongation
+            assert (p @ level.coarse.nodes).tobytes() == level.nodes.tobytes()
+        assert refine_uniform(fine, polygon).n_triangles == 4 * fine.n_triangles

@@ -33,10 +33,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (Domain, Point2, Polygon, ProbeDisc,
+from .geometry import (GEOMETRIC_TOL, Domain, Point2, Polygon, ProbeDisc,
                        boundary_distance_batch, disc_mean_distance,
-                       distance_to_boundary, domain_to_dict, is_convex_polygon,
-                       probe_fits)
+                       distance_to_boundary, domain_scale, domain_to_dict,
+                       is_convex_polygon, probe_fits)
 from .mesh import MeshBudgetError, refine_uniform, triangulate
 from .solver import (CG_TOLERANCE, RESOLUTION_LIMIT, GradientField,
                      ScalarField, gradient_field, solve_dirichlet)
@@ -192,22 +192,19 @@ def canonical_corner_probe(polygon: Polygon, vertex_index: int,
     if polygon.interior_angle(i) <= math.pi:
         raise ValueError(f"vertex {i} is not a reflex corner")
     corner = v[i]
-    for nb in (v[(i - 1) % n], v[(i + 1) % n]):
-        e = nb - corner
-        if np.hypot(*e) < corner_scale - 1e-12:
-            raise ValueError("corner_scale exceeds an adjacent edge length")
-    e1 = (v[(i - 1) % n] - corner) / np.hypot(*(v[(i - 1) % n] - corner))
-    e2 = (v[(i + 1) % n] - corner) / np.hypot(*(v[(i + 1) % n] - corner))
-    center = corner - 0.25 * corner_scale * (e1 + e2)
+    tol = GEOMETRIC_TOL * domain_scale(polygon)
+    e1, e2 = v[(i - 1) % n] - corner, v[(i + 1) % n] - corner
+    l1, l2 = np.hypot(*e1), np.hypot(*e2)
+    if min(l1, l2) < corner_scale - tol:
+        raise ValueError("corner_scale exceeds an adjacent edge length")
+    center = corner - 0.25 * corner_scale * (e1 / l1 + e2 / l2)
     probe = ProbeDisc(Point2(*center), corner_scale / 8.0)
     if not probe_fits(polygon, probe):
         raise ValueError("canonical probe does not fit inside the polygon")
     return probe
 
 
-def superharmonicity_probe(domain: Domain, probes,
-                           radial_order: int = 24,
-                           angular_order: int = 96) -> list[ProbeResult]:
+def superharmonicity_probe(domain: Domain, probes) -> list[ProbeResult]:
     """Compare disc averages of the boundary distance with center values.
 
     violated = mean exceeds the center value by more than SUPERHARMONIC_TOL;
@@ -216,7 +213,7 @@ def superharmonicity_probe(domain: Domain, probes,
     """
     out = []
     for probe in probes:
-        mean = disc_mean_distance(domain, probe, radial_order, angular_order)
+        mean = disc_mean_distance(domain, probe, 24, 96)
         center_value = distance_to_boundary(domain, probe.center.as_array())
         out.append(ProbeResult(probe, mean, center_value,
                                mean > center_value + SUPERHARMONIC_TOL))

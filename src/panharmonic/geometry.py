@@ -4,6 +4,8 @@ A domain is either a simple polygon (vertices stored counterclockwise) or a
 disc.  Both support containment tests, the exact Euclidean distance to the
 boundary curve (the reference every discrete distance estimate in this
 package is judged against), and deterministic disc averages of that distance.
+Every distance to a polygon's boundary, of one point or of many, comes from
+one kernel, boundary_distance_batch.
 
 Geometric tolerances are expressed relative to the bounding-box diagonal so
 that all predicates are scale-free.
@@ -29,9 +31,6 @@ import numpy as np
 # Relative tolerance for "on the boundary" / "coincident vertices" tests,
 # multiplied by the bounding-box diagonal.
 GEOMETRIC_TOL = 1e-12
-# boundary_distance_batch works on this many point-edge pairs at a time,
-# which holds its temporaries to about 56 MiB.
-_CHUNK_PAIRS = 2**20
 
 
 class Point2(NamedTuple):
@@ -51,19 +50,6 @@ def _as_point(p) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("point coordinates must be finite")
     return a
-
-
-def point_segment_distance(p, a, b) -> float:
-    """Distance from p to the closed segment [a, b]."""
-    p, a, b = _as_point(p), _as_point(a), _as_point(b)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    foot = a + t * ab
-    return float(np.hypot(*(p - foot)))
 
 
 def _segments_intersect(a, b, c, d) -> bool:
@@ -125,12 +111,6 @@ class Polygon:
     def perimeter(self) -> float:
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
-    def edges(self):
-        """Yield (start, end) vertex pairs, counterclockwise."""
-        v = self.vertices
-        for i in range(len(v)):
-            yield v[i], v[(i + 1) % len(v)]
 
     def interior_angle(self, i: int) -> float:
         """Interior angle at vertex i, in (0, 2 pi)."""
@@ -228,43 +208,50 @@ def domain_scale(domain: Domain) -> float:
     return 2.0 * math.sqrt(2.0) * domain.radius
 
 
-def _raw_boundary_distance(domain: Domain, p: np.ndarray) -> float:
-    # Distance to the boundary curve with no containment check; callers
-    # guarantee p is (effectively) inside.
-    if isinstance(domain, Polygon):
-        return min(point_segment_distance(p, a, b) for a, b in domain.edges())
-    s = math.hypot(p[0] - domain.center.x1, p[1] - domain.center.x2)
-    return abs(domain.radius - s)
-
-
 def boundary_distance_batch(domain: Domain, points: np.ndarray) -> np.ndarray:
-    """Vectorized |boundary distance| for an (n, 2) array of interior points.
+    """Vectorized |boundary distance| for an (n, 2) array of points.
 
     No containment check is performed; exterior points get their unsigned
-    distance to the boundary curve.  Polygons are processed in chunks of
-    points, each row with the same arithmetic, so memory stays bounded.
+    distance to the boundary curve.  For a polygon, one pass per edge keeps
+    the running minimum of the squared distance to that edge's clamped foot
+    point, and one square root ends it (the root is monotone, so the two
+    commute).  Memory is O(n) and each row is computed independently of the
+    others, so a single-point call returns the same bits as its row here.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) array of points")
+    x, y = pts[:, 0], pts[:, 1]
     if isinstance(domain, Disc):
-        s = np.hypot(pts[:, 0] - domain.center.x1, pts[:, 1] - domain.center.x2)
-        return np.abs(domain.radius - s)
+        return np.abs(domain.radius
+                      - np.hypot(x - domain.center.x1, y - domain.center.x2))
     v = domain.vertices
-    a = v[None, :, :]                                # (1, E, 2)
-    ab = (np.roll(v, -1, axis=0) - v)[None, :, :]     # (1, E, 2)
-    denom = np.einsum("nej,nej->ne", ab, ab)
-    out = np.empty(pts.shape[0])
-    step = max(1, _CHUNK_PAIRS // v.shape[0])
-    for start in range(0, pts.shape[0], step):
-        ap = pts[start:start + step, None, :] - a     # (chunk, E, 2)
-        t = np.einsum("nej,nej->ne", ap, ab) / denom
+    ab = np.roll(v, -1, axis=0) - v
+    best = np.full(pts.shape[0], np.inf)
+    for (ax, ay), (abx, aby) in zip(v, ab):
+        apx, apy = x - ax, y - ay
+        t = (apx * abx + apy * aby) / (abx * abx + aby * aby)
         np.clip(t, 0.0, 1.0, out=t)
-        foot = ap - t[:, :, None] * ab
-        d = np.sqrt(np.einsum("nej,nej->ne", foot, foot))
-        out[start:start + step] = d.min(axis=1)
-        del ap, t, foot, d  # else they live on while the next chunk allocates
-    return out
+        apx -= t * abx
+        apy -= t * aby
+        np.minimum(best, apx * apx + apy * apy, out=best)
+    return np.sqrt(best, out=best)
+
+
+def _one_point(domain: Domain, p) -> tuple[np.ndarray, float, float]:
+    # p as an array, its boundary distance, and the tolerance band.
+    p = _as_point(p)
+    d = float(boundary_distance_batch(domain, p[None, :])[0])
+    return p, d, GEOMETRIC_TOL * domain_scale(domain)
+
+
+def _inside(domain: Domain, p: np.ndarray) -> bool:
+    # Which side of the boundary p lies on; callers first check that p is
+    # outside the tolerance band, where the crossing parity is reliable.
+    if isinstance(domain, Disc):
+        return math.hypot(p[0] - domain.center.x1,
+                          p[1] - domain.center.x2) < domain.radius
+    return _crossing_parity(domain.vertices, p)
 
 
 def contains_point(domain: Domain, p) -> bool:
@@ -273,14 +260,8 @@ def contains_point(domain: Domain, p) -> bool:
     Points within GEOMETRIC_TOL of the boundary (relative to the
     bounding-box diagonal) are classified as not contained.
     """
-    p = _as_point(p)
-    band = GEOMETRIC_TOL * domain_scale(domain)
-    if isinstance(domain, Disc):
-        s = math.hypot(p[0] - domain.center.x1, p[1] - domain.center.x2)
-        return s < domain.radius - band
-    if _raw_boundary_distance(domain, p) <= band:
-        return False
-    return _crossing_parity(domain.vertices, p)
+    p, d, band = _one_point(domain, p)
+    return d > band and _inside(domain, p)
 
 
 def distance_to_boundary(domain: Domain, p) -> float:
@@ -289,10 +270,8 @@ def distance_to_boundary(domain: Domain, p) -> float:
     Defined for points of the closed domain; points strictly outside are
     rejected.  The result is >= 0 and vanishes exactly on the boundary.
     """
-    p = _as_point(p)
-    band = GEOMETRIC_TOL * domain_scale(domain)
-    d = _raw_boundary_distance(domain, p)
-    if d > band and not contains_point(domain, p):
+    p, d, band = _one_point(domain, p)
+    if d > band and not _inside(domain, p):
         raise ValueError("point lies outside the domain")
     if isinstance(domain, Disc):
         s = math.hypot(p[0] - domain.center.x1, p[1] - domain.center.x2)
@@ -318,11 +297,8 @@ def is_convex_polygon(domain: Domain) -> bool:
 
 def probe_fits(domain: Domain, probe: ProbeDisc) -> bool:
     """True iff the probe's closed disc lies inside the domain."""
-    c = probe.center.as_array()
-    band = GEOMETRIC_TOL * domain_scale(domain)
-    if not contains_point(domain, c):
-        return False
-    return _raw_boundary_distance(domain, c) >= probe.radius - band
+    c, d, band = _one_point(domain, probe.center)
+    return d > band and _inside(domain, c) and d >= probe.radius - band
 
 
 def disc_mean_distance(domain: Domain, probe: ProbeDisc,

@@ -27,3 +27,14 @@ def skyline(heights, step=0.4) -> Polygon:
     for i in reversed(range(len(heights))):
         verts += [[xs[i + 1], heights[i]], [xs[i], heights[i]]]
     return Polygon(verts)
+
+
+@st.composite
+def skylines(draw):
+    """Skylines of 2 to 7 columns on a grid of heights, neighbours unequal:
+    every rectangle of grid corners is co-circular."""
+    heights = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0, 1.2]),
+                            min_size=2, max_size=7))
+    if any(a == b for a, b in zip(heights, heights[1:])):
+        reject()
+    return skyline(heights, step=draw(st.sampled_from([0.25, 0.4, 0.5])))

@@ -14,8 +14,8 @@ from panharmonic.analysis import (ConditionResult, DecayEnvelope, Ladder,
                                   superharmonicity_probe, varadhan_error,
                                   varadhan_estimate, write_margins_csv,
                                   write_report_json)
-from panharmonic.geometry import (Point2, ProbeDisc, distance_to_boundary,
-                                  unit_disc)
+from panharmonic.geometry import (Point2, Polygon, ProbeDisc,
+                                  distance_to_boundary, unit_disc)
 from panharmonic.mesh import MeshBudgetError, triangulate
 from panharmonic.solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
                                 gradient_field, solve_dirichlet, solve_neumann)
@@ -169,6 +169,17 @@ class TestCornerProbe:
             canonical_corner_probe(l_shape, 3, 1.2)  # adjacent edges are 1
         with pytest.raises(ValueError):
             canonical_corner_probe(l_shape, 3, -0.1)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_edge_check_is_scale_free(self, l_shape, scale):
+        # The edge-length check allows GEOMETRIC_TOL times the domain
+        # scale: a corner_scale past the unit edges by 1e-13 of their
+        # length passes, one past them by 5e-4 fails, at every scale.
+        polygon = Polygon(scale * l_shape.vertices)
+        probe = canonical_corner_probe(polygon, 3, scale * (1.0 + 1e-13))
+        assert probe.radius == pytest.approx(scale / 8.0, rel=1e-12)
+        with pytest.raises(ValueError, match="adjacent edge"):
+            canonical_corner_probe(polygon, 3, scale * 1.0005)
 
 
 class TestSuperharmonicity:

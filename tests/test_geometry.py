@@ -11,16 +11,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from panharmonic import geometry
 from panharmonic.geometry import (Disc, Point2, Polygon, ProbeDisc,
                                   boundary_distance_batch, contains_point,
                                   disc_mean_distance, distance_to_boundary,
                                   domain_from_dict, domain_scale,
                                   domain_to_dict, dump_domain,
                                   is_convex_polygon, l_shape, load_domain,
-                                  point_segment_distance, probe_fits,
-                                  regular_polygon, unit_disc, unit_square)
+                                  probe_fits, regular_polygon, unit_disc,
+                                  unit_square)
+from strategies import skylines, star_polygons
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,6 +40,34 @@ def _boundary_samples(polygon: Polygon, n: int) -> np.ndarray:
 
 def _oracle_distance(polygon: Polygon, p, samples) -> float:
     return float(np.hypot(*(samples - np.asarray(p, float)).T).min())
+
+
+def _segment_distance(p, a, b) -> float:
+    """Distance from p to the closed segment [a, b], one point at a time:
+    the foot point clamped to the segment, then hypot."""
+    ab = b - a
+    t = min(1.0, max(0.0, float((p - a) @ ab) / float(ab @ ab)))
+    return float(np.hypot(*(p - (a + t * ab))))
+
+
+@st.composite
+def polygons_and_points(draw):
+    """A star polygon or a skyline with 96 points in its padded bounding
+    box and 32 points on its sides."""
+    polygon = draw(st.one_of(star_polygons(), skylines()))
+    v = polygon.vertices
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    box = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (96, 2))
+    side = rng.integers(len(v), size=32)
+    ab = np.roll(v, -1, axis=0) - v
+    on_sides = v[side] + rng.random((32, 1)) * ab[side]
+    return polygon, np.vstack([box, on_sides])
+
+
+# The foot inside a side, a clamp to the side's endpoint, a point on a side.
+SIDE_EXAMPLE = (Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, -5.0)]),
+                np.array([[0.5, 1.0], [2.0, 0.0], [0.3, 0.0]]))
 
 
 class TestDistance:
@@ -104,17 +134,22 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance_to_boundary(unit_square, (3.0, 3.0))
 
-    def test_batch_matches_scalar(self, l_shape):
-        pts = np.array([[0.8, 0.8], [1.2, 0.8], [0.5, 1.5]])
-        batch = boundary_distance_batch(l_shape, pts)
-        for p, d in zip(pts, batch):
-            assert d == pytest.approx(distance_to_boundary(l_shape, p), rel=1e-14)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(polygons_and_points())
+    @example(SIDE_EXAMPLE)
+    def test_batch_matches_scalar(self, case):
+        polygon, pts = case
+        v = polygon.vertices
+        edges = list(zip(v, np.roll(v, -1, axis=0)))
+        oracle = [min(_segment_distance(p, a, b) for a, b in edges) for p in pts]
+        assert boundary_distance_batch(polygon, pts) == pytest.approx(
+            oracle, rel=0.0, abs=1e-15 * domain_scale(polygon))
 
-    def test_batch_memory_is_chunked(self):
+    def test_batch_memory_is_linear(self):
         # 20,000 points against 800 edges: one (n, E, 2) pass would peak
-        # near 850 MiB.  Chunking bounds it without changing any row, so
-        # rows on both sides of a chunk boundary equal single-point calls
-        # bit for bit.
+        # near 850 MiB, while the per-edge running minimum keeps a few
+        # (n,) arrays.  Each row is computed on its own, so rows anywhere
+        # in the batch equal single-point calls bit for bit.
         polygon = regular_polygon(800)
         pts = np.random.default_rng(3).uniform(-0.7, 0.7, (20_000, 2))
         tracemalloc.start()
@@ -123,9 +158,8 @@ class TestDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
-        step = geometry._CHUNK_PAIRS // 800
-        for row in (0, step - 1, step, 2 * step, len(pts) - 1):
+        assert peak < 4 * 2**20
+        for row in (0, 1309, 1310, 2620, 19_999):
             single = boundary_distance_batch(polygon, pts[row:row + 1])
             assert single.tobytes() == batch[row:row + 1].tobytes()
 
@@ -242,12 +276,6 @@ class TestSerialization:
         assert domain_from_dict(data).radius == 1.0
         with pytest.raises((ValueError, KeyError)):
             domain_from_dict({"type": "torus"})
-
-
-def test_point_segment_distance():
-    assert point_segment_distance((0.5, 1.0), (0, 0), (1, 0)) == pytest.approx(1.0)
-    assert point_segment_distance((2.0, 0.0), (0, 0), (1, 0)) == pytest.approx(1.0)
-    assert point_segment_distance((0.3, 0.0), (0, 0), (1, 0)) == 0.0
 
 
 def test_point2_helpers():

@@ -23,7 +23,7 @@ from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
                               _signed_areas, mesh_quality, refine_uniform,
                               save_mesh_text, triangulate)
 from panharmonic.solver import solve_dirichlet, solve_neumann
-from strategies import skyline, star_polygons
+from strategies import skyline, skylines, star_polygons
 
 
 class TestSquare:
@@ -389,17 +389,6 @@ class TestHierarchy:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
-
-
-@st.composite
-def skylines(draw):
-    """Skylines of 2 to 7 columns on a grid of heights, neighbours unequal:
-    every rectangle of grid corners is co-circular."""
-    heights = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0, 1.2]),
-                            min_size=2, max_size=7))
-    if any(a == b for a, b in zip(heights, heights[1:])):
-        reject()
-    return skyline(heights, step=draw(st.sampled_from([0.25, 0.4, 0.5])))
 
 
 class TestLawsonFlip:

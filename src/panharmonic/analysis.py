@@ -189,7 +189,7 @@ def canonical_corner_probe(polygon: Polygon, vertex_index: int,
     v = polygon.vertices
     n = len(polygon)
     i = vertex_index % n
-    if polygon.interior_angle(i) <= math.pi:
+    if i not in polygon.reflex_vertices():
         raise ValueError(f"vertex {i} is not a reflex corner")
     corner = v[i]
     tol = GEOMETRIC_TOL * domain_scale(polygon)

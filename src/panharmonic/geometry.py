@@ -5,7 +5,10 @@ disc.  Both support containment tests, the exact Euclidean distance to the
 boundary curve (the reference every discrete distance estimate in this
 package is judged against), and deterministic disc averages of that distance.
 Every distance to a polygon's boundary, of one point or of many, comes from
-one kernel, boundary_distance_batch.
+one kernel, boundary_distance_batch.  Every orientation decision (whether a
+polygon is simple, which vertices are reflex, hence whether it is convex,
+and which corners mesh's ear clipping cuts) comes from one turn test,
+_orient, evaluated on arrays.
 
 Geometric tolerances are expressed relative to the bounding-box diagonal so
 that all predicates are scale-free.
@@ -52,29 +55,18 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
-def _segments_intersect(a, b, c, d) -> bool:
-    # Closed-segment intersection test (shared endpoints count).
-    def orient(p, q, r):
-        v = float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
-        return (v > 0.0) - (v < 0.0)
+def _orient(p, q, r):
+    """(q - p) x (r - p): twice the signed area of the triangle pqr, positive
+    when r lies left of the line from p to q.  Points are stacked on the last
+    axis and broadcast against each other."""
+    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
-    def on_segment(p, q, r):
-        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(a, b, c):
-        return True
-    if o2 == 0 and on_segment(a, b, d):
-        return True
-    if o3 == 0 and on_segment(c, d, a):
-        return True
-    if o4 == 0 and on_segment(c, d, b):
-        return True
-    return False
+def _in_box(p, q, r):
+    # Whether r lies in the closed bounding box of the segment pq.
+    inside = (np.minimum(p, q) <= r) & (r <= np.maximum(p, q))
+    return inside[..., 0] & inside[..., 1]
 
 
 @dataclass(frozen=True)
@@ -116,16 +108,18 @@ class Polygon:
         """Interior angle at vertex i, in (0, 2 pi)."""
         v = self.vertices
         n = len(v)
-        e_in = v[i] - v[(i - 1) % n]
-        e_out = v[(i + 1) % n] - v[i]
-        cross = float(e_in[0] * e_out[1] - e_in[1] * e_out[0])
-        turn = math.atan2(cross, float(e_in @ e_out))
+        a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
+        turn = math.atan2(float(_orient(b, c, a)), float((b - a) @ (c - b)))
         return math.pi - turn
 
     def reflex_vertices(self) -> list[int]:
-        """Indices of vertices whose interior angle exceeds pi."""
-        return [i for i in range(len(self))
-                if self.interior_angle(i) > math.pi + 1e-12]
+        """Indices of the vertices where the boundary turns clockwise: the
+        cross product of the incoming and outgoing edges is below
+        -GEOMETRIC_TOL * scale^2, so the interior angle exceeds pi."""
+        v = self.vertices
+        turn = _orient(v, np.roll(v, -1, axis=0), np.roll(v, 1, axis=0))
+        scale = _bbox_diagonal(v)
+        return np.flatnonzero(turn < -GEOMETRIC_TOL * scale * scale).tolist()
 
 
 def _shoelace_twice(v: np.ndarray) -> float:
@@ -139,31 +133,33 @@ def _bbox_diagonal(v: np.ndarray) -> float:
 
 
 def _check_simple(v: np.ndarray) -> None:
-    # Non-adjacent edges must not touch. O(n^2), acceptable for the polygon
-    # sizes this package meshes.
+    # Non-adjacent edges must not touch, shared endpoints and collinear
+    # overlaps included.  Each edge i is tested against every later edge j
+    # but its neighbours at once, and the first pair (i, j) touching raises.
     n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(a, b, v[j], v[(j + 1) % n]):
-                raise ValueError(
-                    f"polygon is not simple: edges {i} and {j} intersect")
+    w = np.roll(v, -1, axis=0)
+    for i in range(n - 2):
+        j0, j1 = i + 2, n - 1 if i == 0 else n
+        a, b, c, d = v[i], w[i], v[j0:j1], w[j0:j1]
+        o1, o2 = np.sign(_orient(a, b, c)), np.sign(_orient(a, b, d))
+        o3, o4 = np.sign(_orient(c, d, a)), np.sign(_orient(c, d, b))
+        touch = (((o1 != o2) & (o3 != o4))
+                 | ((o1 == 0) & _in_box(a, b, c)) | ((o2 == 0) & _in_box(a, b, d))
+                 | ((o3 == 0) & _in_box(c, d, a)) | ((o4 == 0) & _in_box(c, d, b)))
+        if touch.any():
+            j = j0 + int(np.argmax(touch))
+            raise ValueError(
+                f"polygon is not simple: edges {i} and {j} intersect")
 
 
 def _crossing_parity(v: np.ndarray, p: np.ndarray) -> bool:
     # Even-odd ray crossing; points near the boundary are settled by the
     # caller's tolerance band before this runs.
-    inside = False
-    n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-            if p[0] < x_cross:
-                inside = not inside
-    return inside
+    w = np.roll(v, -1, axis=0)
+    span = (v[:, 1] > p[1]) != (w[:, 1] > p[1])
+    a, b = v[span], w[span]
+    x_cross = a[:, 0] + (p[1] - a[:, 1]) / (b[:, 1] - a[:, 1]) * (b[:, 0] - a[:, 0])
+    return bool(np.count_nonzero(p[0] < x_cross) % 2)
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,8 @@ class Disc:
         c = Point2(*(float(x) for x in self.center))
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
+        if not all(map(math.isfinite, c)):
+            raise ValueError("disc center must be finite")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("disc radius must be positive and finite")
 
@@ -280,19 +278,9 @@ def distance_to_boundary(domain: Domain, p) -> float:
 
 
 def is_convex_polygon(domain: Domain) -> bool:
-    """Convexity ground truth; discs are convex unconditionally.
-
-    A polygon is convex when every consecutive-edge cross product is
-    >= -GEOMETRIC_TOL * scale^2.
-    """
-    if isinstance(domain, Disc):
-        return True
-    v = domain.vertices
-    e = np.roll(v, -1, axis=0) - v
-    e_next = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-    scale = domain_scale(domain)
-    return bool(np.all(cross >= -GEOMETRIC_TOL * scale * scale))
+    """Convexity ground truth: a disc is convex unconditionally, and a
+    polygon when it has no reflex vertex (Polygon.reflex_vertices)."""
+    return isinstance(domain, Disc) or not domain.reflex_vertices()
 
 
 def probe_fits(domain: Domain, probe: ProbeDisc) -> bool:

@@ -7,7 +7,8 @@ import pytest
 
 from panharmonic import analysis, cli
 from panharmonic import mesh as meshing
-from panharmonic.geometry import dump_domain, l_shape, unit_disc, unit_square
+from panharmonic.geometry import (Polygon, dump_domain, l_shape, unit_disc,
+                                  unit_square)
 from panharmonic.solver import solve_neumann
 
 
@@ -199,6 +200,16 @@ class TestProbeSuperharmonic:
         assert "no reflex corners" in capsys.readouterr().out
         assert len((out / "probes.csv").read_text().splitlines()) == 1
 
+    def test_dent_within_tolerance_has_no_probe(self, tmp_path, capsys):
+        # A dent of 1e-12 is below the convexity tolerance: no reflex corner.
+        path = tmp_path / "dented.json"
+        dump_domain(Polygon([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-12), (0, 1)]),
+                    path)
+        code = _run(["probe-superharmonic", "--domain", str(path),
+                     "--output-dir", str(tmp_path / "pd")])
+        assert code == 0
+        assert "no reflex corners found" in capsys.readouterr().out
+
     def test_scale_validation(self, domains, tmp_path):
         code = _run(["probe-superharmonic", "--domain", domains["lshape"],
                      "--corner-scale", "1.5",
@@ -252,6 +263,19 @@ class TestConfigErrors:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("center", ["NaN", "Infinity"])
+    def test_nonfinite_disc_center(self, center, tmp_path, capsys):
+        bad = tmp_path / "disc.json"
+        bad.write_text(f'{{"type": "disc", "center": [{center}, 0.0], '
+                       f'"radius": 1.0}}')
+        code = _run(["check-convexity", "--domain", str(bad), "--mu", "2",
+                     "--output-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert "center must be finite" in err
+        assert "Traceback" not in err
 
     def test_bad_domain_payload(self, tmp_path, capsys):
         bad = tmp_path / "thin.json"

@@ -7,15 +7,18 @@ that level certifies the analytic segment projections independently.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from panharmonic.geometry import (Disc, Point2, Polygon, ProbeDisc,
-                                  boundary_distance_batch, contains_point,
+                                  _crossing_parity, _shoelace_twice,
+                                  boundary_distance_batch,
+                                  contains_point,
                                   disc_mean_distance, distance_to_boundary,
                                   domain_from_dict, domain_scale,
                                   domain_to_dict, dump_domain,
@@ -48,6 +51,70 @@ def _segment_distance(p, a, b) -> float:
     ab = b - a
     t = min(1.0, max(0.0, float((p - a) @ ab) / float(ab @ ab)))
     return float(np.hypot(*(p - (a + t * ab))))
+
+
+def _segments_touch(a, b, c, d) -> bool:
+    """Whether the closed segments [a, b] and [c, d] meet, one pair at a
+    time: proper crossings, shared endpoints and collinear overlaps."""
+    def orient(p, q, r):
+        v = float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+        return (v > 0.0) - (v < 0.0)
+
+    def on_segment(p, q, r):
+        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+    o1, o2 = orient(a, b, c), orient(a, b, d)
+    o3, o4 = orient(c, d, a), orient(c, d, b)
+    return ((o1 != o2 and o3 != o4)
+            or (o1 == 0 and on_segment(a, b, c)) or (o2 == 0 and on_segment(a, b, d))
+            or (o3 == 0 and on_segment(c, d, a)) or (o4 == 0 and on_segment(c, d, b)))
+
+
+def _first_touching_edges(v):
+    """The first pair (i, j), i < j, of non-adjacent edges of the closed
+    polyline v that meet, scanning pair by pair, or None."""
+    n = len(v)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (j + 1) % n != i and _segments_touch(v[i], v[(i + 1) % n],
+                                                    v[j], v[(j + 1) % n]):
+                return i, j
+    return None
+
+
+def _crossing_parity_loop(v, p) -> bool:
+    """Even-odd ray crossing, one edge at a time."""
+    inside = False
+    n = len(v)
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        if (a[1] > p[1]) != (b[1] > p[1]):
+            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
+            if p[0] < x_cross:
+                inside = not inside
+    return inside
+
+
+@st.composite
+def grid_polylines(draw):
+    """Closed polylines of 3 to 8 points of the 4 x 4 integer grid, no two
+    consecutive points equal: many shared points, collinear overlaps and
+    crossings, with exact orientation signs."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=3, max_size=8))
+    pts = [p for k, p in enumerate(pts) if p != pts[k - 1]]
+    if len(pts) < 3:
+        reject()
+    return np.array(pts, dtype=float)
+
+
+@st.composite
+def shuffled_stars(draw):
+    """Vertices of a star polygon in a drawn order: mostly crossings in
+    general position."""
+    v = draw(star_polygons()).vertices
+    return v[draw(st.permutations(range(len(v))))]
 
 
 @st.composite
@@ -214,6 +281,43 @@ class TestPolygonInvariants:
         assert is_convex_polygon(
             Polygon([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)]))
 
+    def test_dent_within_tolerance_is_convex(self):
+        # The turn at vertex 3 is -1e-12, above -GEOMETRIC_TOL * scale^2.
+        dented = Polygon([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-12), (0, 1)])
+        assert dented.reflex_vertices() == []
+        assert is_convex_polygon(dented)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(star_polygons(), skylines()))
+    def test_convex_iff_no_reflex_vertex(self, polygon):
+        assert is_convex_polygon(polygon) == (not polygon.reflex_vertices())
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(grid_polylines(), shuffled_stars(),
+                     star_polygons().map(lambda polygon: polygon.vertices)))
+    def test_simplicity_matches_pairwise_oracle(self, v):
+        try:
+            Polygon(v)
+            got = None
+        except ValueError as exc:
+            named = re.search(r"not simple: edges (\d+) and (\d+) ", str(exc))
+            if named is None:
+                reject()  # zero area, caught before the simplicity check
+            got = tuple(map(int, named.groups()))
+        # Polygon orients its vertices counterclockwise before the check.
+        ccw = v if _shoelace_twice(v) > 0.0 else v[::-1]
+        assert got == _first_touching_edges(ccw)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_polylines())
+    def test_crossing_parity_matches_loop(self, v):
+        # The even-odd rule needs no simple polygon.  Points on the grid and
+        # half grid lie on sides, at vertices and on the horizontal lines
+        # through vertices.
+        half_grid = np.linspace(0.0, 3.0, 7)
+        for p in np.array(np.meshgrid(half_grid, half_grid)).reshape(2, -1).T:
+            assert _crossing_parity(v, p) == _crossing_parity_loop(v, p)
+
     def test_domain_scale(self, unit_square, unit_disc):
         assert domain_scale(unit_square) == pytest.approx(SQRT2)
         assert domain_scale(unit_disc) == pytest.approx(2.0 * SQRT2)
@@ -269,6 +373,11 @@ class TestSerialization:
         back = load_domain(path)
         assert isinstance(back, Disc)
         assert back.center == d.center and back.radius == d.radius
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_disc_rejects_nonfinite_center(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Disc(Point2(*center), 1.0)
 
     def test_dict_shape(self, unit_disc):
         data = domain_to_dict(unit_disc)

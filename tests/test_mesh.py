@@ -111,6 +111,58 @@ class TestPolygonGeneral:
         assert m.h_max <= 0.3
 
 
+def _ear_clip_loop(vertices: np.ndarray) -> np.ndarray:
+    """_ear_clip with every orientation test written out one vertex at a
+    time: the ear at b is convex when (b - a) x (c - b) > eps, and blocked
+    when a remaining vertex lies inside or on it."""
+    diag = math.hypot(*(vertices.max(axis=0) - vertices.min(axis=0)))
+    eps = 1e-12 * diag * diag
+    idx = list(range(len(vertices)))
+    tris = []
+    while len(idx) > 3:
+        n = len(idx)
+        for pos in range(n):
+            a, b, c = idx[pos - 1], idx[pos], idx[(pos + 1) % n]
+            pa, pb, pc = vertices[a], vertices[b], vertices[c]
+            u, v = pb - pa, pc - pb
+            if u[0] * v[1] - u[1] * v[0] <= eps:
+                continue
+            if any(min((pb[0] - pa[0]) * (q[1] - pa[1]) - (pb[1] - pa[1]) * (q[0] - pa[0]),
+                       (pc[0] - pb[0]) * (q[1] - pb[1]) - (pc[1] - pb[1]) * (q[0] - pb[0]),
+                       (pa[0] - pc[0]) * (q[1] - pc[1]) - (pa[1] - pc[1]) * (q[0] - pc[0]))
+                   >= -eps for q in vertices[[o for o in idx if o not in (a, b, c)]]):
+                continue
+            tris.append((a, b, c))
+            del idx[pos]
+            break
+        else:
+            raise ValueError("ear clipping failed: degenerate or collinear polygon")
+    tris.append(tuple(idx))
+    return np.array(tris, dtype=np.int64)
+
+
+class TestEarClip:
+    @staticmethod
+    def check(polygon):
+        try:
+            expected = _ear_clip_loop(polygon.vertices)
+        except ValueError:
+            with pytest.raises(ValueError, match="ear clipping failed"):
+                _ear_clip(polygon.vertices)
+            return
+        assert _ear_clip(polygon.vertices).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(star_polygons(), skylines()))
+    def test_matches_loop(self, polygon):
+        self.check(polygon)
+
+    @pytest.mark.parametrize("name", ["square", "l_shape", "heptagon"])
+    def test_named_domains(self, name):
+        self.check({"square": unit_square, "l_shape": l_shape,
+                    "heptagon": lambda: regular_polygon(7)}[name]())
+
+
 class TestValidation:
     def test_target_h_bounds(self, unit_square):
         with pytest.raises(ValueError):
@@ -135,6 +187,12 @@ class TestValidation:
         nodes4 = np.vstack([nodes, [2.0, 2.0]])
         with pytest.raises(ValueError):
             Mesh(nodes4, np.array([[0, 1, 2]]))  # orphan node
+
+    def test_mesh_constructor_rejects_nonfinite_nodes(self):
+        # A NaN node gives a NaN area, which no "area <= 0" test catches.
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]])
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            Mesh(nodes, np.array([[0, 1, 2]]))
 
     def test_orphan_below_largest_index(self):
         # Node 2 is unused although node 3, the last, is referenced.

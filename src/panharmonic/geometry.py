@@ -105,12 +105,17 @@ class Polygon:
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
     def interior_angle(self, i: int) -> float:
-        """Interior angle at vertex i, in (0, 2 pi)."""
+        """Interior angle at vertex i, in (0, 2 pi).  A turn within the
+        collinearity band of reflex_vertices counts as none, so the angle
+        exceeds pi exactly when i is a reflex vertex."""
         v = self.vertices
         n = len(v)
         a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
-        turn = math.atan2(float(_orient(b, c, a)), float((b - a) @ (c - b)))
-        return math.pi - turn
+        cross = float(_orient(b, c, a))
+        scale = _bbox_diagonal(v)
+        if abs(cross) <= GEOMETRIC_TOL * scale * scale:
+            cross = 0.0
+        return math.pi - math.atan2(cross, float((b - a) @ (c - b)))
 
     def reflex_vertices(self) -> list[int]:
         """Indices of the vertices where the boundary turns clockwise: the

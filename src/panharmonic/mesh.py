@@ -5,9 +5,12 @@ whose interior edges are then flipped to the constrained Delaunay
 triangulation (Lawson flips), then refined uniformly until the edge-length
 target holds.  Midpoint refinement splits each triangle into four similar
 to it, so every level keeps the coarse mesh's angles exactly, and a
-nonobtuse coarse mesh gives an M-matrix at every level.  Discs get a
-structured concentric web whose boundary nodes sit exactly on the circle
-at every refinement level.
+nonobtuse coarse mesh gives an M-matrix at every level.  A polygon whose
+sides are all axis-parallel and whose constrained Delaunay triangulation
+has an obtuse triangle gets a nonobtuse coarse mesh instead: the grid
+through its vertex coordinates, each cell cut into two right triangles.
+Discs get a structured concentric web whose boundary nodes sit exactly on
+the circle at every refinement level.
 
 Every mesh built here keeps the Mesh it was built from (Mesh.coarse) and the
 interpolation from that mesh's nodes to its own (Mesh.prolongation): the
@@ -29,7 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Disc, Domain, Polygon, _orient, domain_scale
+from .geometry import (GEOMETRIC_TOL, Disc, Domain, Polygon, _bbox_diagonal,
+                       _orient, domain_scale)
 
 TRIANGLE_BUDGET = 2_000_000
 # Longest edge of the disc web is the first sector diagonal of each annulus,
@@ -317,8 +321,9 @@ def mesh_quality(mesh: Mesh) -> MeshQuality:
 
 def _ear_clip(vertices: np.ndarray) -> np.ndarray:
     """Triangulate a simple CCW polygon using only its own vertices."""
-    diag = math.hypot(*(vertices.max(axis=0) - vertices.min(axis=0)))
-    eps = 1e-12 * diag * diag
+    # The collinearity band of Polygon.reflex_vertices.
+    diag = _bbox_diagonal(vertices)
+    eps = GEOMETRIC_TOL * diag * diag
     idx = list(range(len(vertices)))
     tris = []
     while len(idx) > 3:
@@ -470,14 +475,54 @@ def _disc_prolongation(rings: int, coarse_rings: int) -> sp.csr_matrix:
     return p
 
 
+def _grid_mesh(polygon: Polygon) -> Mesh:
+    """The conforming grid through the distinct vertex coordinates of a
+    polygon whose sides are all axis-parallel.  The sides run along grid
+    lines, so each cell lies inside or outside; the cells inside are kept
+    and cut by the diagonal from their lower left to their upper right
+    corner into two right triangles.  Nodes are the grid nodes of kept
+    cells, numbered row by row (y, then x); triangles come in the same
+    order, two per cell."""
+    v = polygon.vertices
+    xs, ys = np.unique(v[:, 0]), np.unique(v[:, 1])
+    # The even-odd rule of geometry._crossing_parity, counted on the grid in
+    # O(cells + sides): the ray from a cell's centre towards +x crosses the
+    # vertical sides on the grid lines right of the cell that span its row.
+    w = np.roll(v, -1, axis=0)
+    vertical = v[:, 0] == w[:, 0]
+    line = np.searchsorted(xs, v[vertical, 0])
+    ends = np.searchsorted(ys, np.sort(np.column_stack([v[vertical, 1], w[vertical, 1]])))
+    # spans is +1 at the row where a side on grid line k starts and -1 where
+    # it ends; its sums down the rows count the sides on line k spanning a
+    # row, and crossings[j, k] those on line k or right of it.
+    spans = np.zeros((ys.size, xs.size), dtype=np.int64)
+    np.add.at(spans, (ends[:, 0], line), 1)
+    np.add.at(spans, (ends[:, 1], line), -1)
+    crossings = np.cumsum(np.cumsum(spans, axis=0)[:-1, ::-1], axis=1)[:, ::-1]
+    row, col = np.nonzero(crossings[:, 1:] % 2)
+    lower_left = row * xs.size + col
+    upper_right = lower_left + xs.size + 1
+    cells = np.stack([np.column_stack([lower_left, lower_left + 1, upper_right]),
+                      np.column_stack([lower_left, upper_right, upper_right - 1])],
+                     axis=1).reshape(-1, 3)
+    used, renumbered = np.unique(cells, return_inverse=True)
+    gx, gy = np.meshgrid(xs, ys)
+    return Mesh(np.column_stack([gx.ravel(), gy.ravel()])[used],
+                renumbered.reshape(cells.shape))
+
+
 def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h.
 
     Polygons: ear clipping, Lawson flips to the constrained Delaunay
     triangulation of the polygon's vertices, then uniform refinement until
     the bound holds; the result is that refinement as it is, nested in the
-    chain down to the coarse mesh and with exactly its angles.  Discs:
-    structured concentric web with all boundary nodes exactly on the circle.
+    chain down to the coarse mesh and with exactly its angles.  When that
+    coarse mesh has an obtuse triangle (mesh_quality's test) and every side
+    of the polygon is axis-parallel, the grid of _grid_mesh replaces it:
+    every triangle is right-angled, so K is an M-matrix at every level.
+    Discs: structured concentric web with all boundary nodes exactly on
+    the circle.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
@@ -493,6 +538,10 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
 
     vertices = domain.vertices
     mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
+    sides = np.roll(vertices, -1, axis=0) - vertices
+    if (np.all((sides[:, 0] == 0.0) | (sides[:, 1] == 0.0))
+            and mesh_quality(mesh).nonobtuse_fraction < 1.0):
+        mesh = _grid_mesh(domain)
     while mesh.h_max > 1.5 * target_h:
         mesh = refine_uniform(mesh, domain)
     return mesh

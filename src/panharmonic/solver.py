@@ -104,6 +104,8 @@ class Multigrid:
     def __init__(self, levels):
         self.matrices = [a for a, _ in levels]
         self.prolongations = [p for _, p in levels[1:]]
+        # The restrictions P_l^T, as transposed views sharing P_l's arrays.
+        self._restrictions = [p.T for p in self.prolongations]
         self.smoothers = []
         for a in self.matrices[:-1]:
             diag = a.diagonal()
@@ -124,14 +126,14 @@ class Multigrid:
         # Updates run in place where they can: on large levels a fresh
         # temporary per vector operation costs as much as the arithmetic.
         residuals, pre = [], []
-        for a, smooth, p in zip(self.matrices, self.smoothers,
-                                self.prolongations):
+        for a, smooth, restrict in zip(self.matrices, self.smoothers,
+                                       self._restrictions):
             x = smooth * r
             residuals.append(r)
             pre.append(x)
             defect = a @ x
             np.subtract(r, defect, out=defect)
-            r = p.T @ defect
+            r = restrict @ defect
         x = self._coarsest_solve(r)
         for level in reversed(range(len(self.smoothers))):
             a, smooth = self.matrices[level], self.smoothers[level]

@@ -38,3 +38,27 @@ def skylines(draw):
     if any(a == b for a, b in zip(heights, heights[1:])):
         reject()
     return skyline(heights, step=draw(st.sampled_from([0.25, 0.4, 0.5])))
+
+
+def comb(teeth, tooth=0.2, gap=0.2, spine=0.2, depth=0.4) -> Polygon:
+    """Rectilinear comb: a spine of height spine with teeth of width tooth
+    and length depth on top, gap apart, the outer teeth flush with the
+    spine's ends.  comb(3) is the 12-vertex comb of 1 x 0.6."""
+    lefts = [round(k * (tooth + gap), 10) for k in range(teeth)]
+    verts = [[0.0, 0.0], [round(lefts[-1] + tooth, 10), 0.0]]
+    for k in reversed(range(teeth)):
+        top = round(spine + depth, 10)
+        verts += [[round(lefts[k] + tooth, 10), top], [lefts[k], top]]
+        if k:
+            verts += [[lefts[k], spine], [round(lefts[k] - gap, 10), spine]]
+    return Polygon(verts)
+
+
+@st.composite
+def combs(draw):
+    """Combs of 2 to 5 teeth, their widths, gaps and lengths on a grid."""
+    return comb(draw(st.integers(2, 5)),
+                tooth=draw(st.sampled_from([0.1, 0.2, 0.3])),
+                gap=draw(st.sampled_from([0.1, 0.2, 0.3])),
+                spine=draw(st.sampled_from([0.1, 0.2])),
+                depth=draw(st.sampled_from([0.2, 0.4, 0.6])))

@@ -28,6 +28,9 @@ from panharmonic.geometry import (Disc, Point2, Polygon, ProbeDisc,
 from strategies import skylines, star_polygons
 
 SQRT2 = math.sqrt(2.0)
+# The unit square dented inward by 1e-12 at the midpoint of its top side:
+# the turn there is -1e-12, inside the collinearity band.
+DENTED_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-12), (0, 1)])
 
 
 def _boundary_samples(polygon: Polygon, n: int) -> np.ndarray:
@@ -283,9 +286,17 @@ class TestPolygonInvariants:
 
     def test_dent_within_tolerance_is_convex(self):
         # The turn at vertex 3 is -1e-12, above -GEOMETRIC_TOL * scale^2.
-        dented = Polygon([(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-12), (0, 1)])
-        assert dented.reflex_vertices() == []
-        assert is_convex_polygon(dented)
+        assert DENTED_SQUARE.reflex_vertices() == []
+        assert is_convex_polygon(DENTED_SQUARE)
+        assert DENTED_SQUARE.interior_angle(3) == math.pi
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(star_polygons(), skylines()))
+    @example(DENTED_SQUARE)
+    def test_angle_above_pi_iff_reflex(self, polygon):
+        reflex = polygon.reflex_vertices()
+        assert [i for i in range(len(polygon))
+                if polygon.interior_angle(i) > math.pi] == reflex
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.one_of(star_polygons(), skylines()))

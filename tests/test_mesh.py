@@ -9,6 +9,7 @@ are the actual correctness checks.
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -16,14 +17,14 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from panharmonic.geometry import (domain_scale, unit_disc, unit_square, l_shape,
-                                  regular_polygon)
+from panharmonic.geometry import (Polygon, contains_point, domain_scale,
+                                  unit_disc, unit_square, l_shape, regular_polygon)
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
-                              _ear_clip, _edge_topology, _lawson_flip,
+                              _ear_clip, _edge_topology, _grid_mesh, _lawson_flip,
                               _signed_areas, mesh_quality, refine_uniform,
                               save_mesh_text, triangulate)
-from panharmonic.solver import solve_dirichlet, solve_neumann
-from strategies import skyline, skylines, star_polygons
+from panharmonic.solver import ResolutionWarning, solve_dirichlet, solve_neumann
+from strategies import comb, combs, skyline, skylines, star_polygons
 
 
 class TestSquare:
@@ -247,7 +248,8 @@ def test_save_mesh_text(tmp_path, unit_square):
 
 # Ear clipping of these skylines leaves slivers on the rectilinear steps; a
 # former smoothing pass flattened them to 0 degrees, and refining the result
-# then failed with "degenerate or flipped". triangulate must keep at least
+# then failed with "degenerate or flipped".  triangulate now meshes them
+# from their grid, with no angle below 45 degrees; it must keep at least
 # half the ear clip's smallest angle and still refine to 4x triangles.
 @pytest.mark.parametrize("heights", [
     (0.4, 1.2, 0.8, 0.4, 1.2), (1.2, 0.4, 0.8, 1.2, 0.8),
@@ -359,6 +361,35 @@ class TestFastPaths:
         rings = math.isqrt(m.n_triangles // 6)
         assert 6 * rings * rings == m.n_triangles
         assert np.array_equal(m.triangles, self.disc_web_reference(rings))
+
+    @staticmethod
+    def grid_mesh_reference(polygon):
+        v = polygon.vertices
+        xs, ys = sorted(set(v[:, 0].tolist())), sorted(set(v[:, 1].tolist()))
+        cells = [(i, j) for j in range(len(ys) - 1) for i in range(len(xs) - 1)
+                 if contains_point(polygon, (0.5 * (xs[i] + xs[i + 1]),
+                                             0.5 * (ys[j] + ys[j + 1])))]
+        used = sorted({(j + dj, i + di) for i, j in cells
+                       for di in (0, 1) for dj in (0, 1)})
+        number = {key: k for k, key in enumerate(used)}
+        tris = []
+        for i, j in cells:
+            a, b = number[(j, i)], number[(j, i + 1)]
+            c, d = number[(j + 1, i + 1)], number[(j + 1, i)]
+            tris += [(a, b, c), (a, c, d)]
+        return np.array([(xs[i], ys[j]) for j, i in used]), np.array(tris)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), combs()), st.integers(0, 3))
+    def test_grid_mesh(self, polygon, quarter_turns):
+        v = polygon.vertices
+        for _ in range(quarter_turns):
+            v = np.column_stack([-v[:, 1], v[:, 0]])
+        polygon = Polygon(v)
+        m = _grid_mesh(polygon)
+        nodes, tris = self.grid_mesh_reference(polygon)
+        assert m.nodes.tobytes() == nodes.tobytes()
+        assert np.array_equal(m.triangles, tris)
 
 
 def _disc_web_nodes(rings):
@@ -523,6 +554,12 @@ class TestSimilarRefinement:
             if "ear clipping" not in str(exc):
                 raise
             reject()  # nearly collinear corners
+        self.check(fine, polygon)
+
+    @staticmethod
+    def check(fine, polygon):
+        """Asserts the chain under fine is nested and similar; returns it,
+        fine first."""
         chain = [fine]
         while chain[-1].coarse is not None:
             chain.append(chain[-1].coarse)
@@ -534,3 +571,58 @@ class TestSimilarRefinement:
             p = level.prolongation
             assert (p @ level.coarse.nodes).tobytes() == level.nodes.tobytes()
         assert refine_uniform(fine, polygon).n_triangles == 4 * fine.n_triangles
+        return chain
+
+
+class TestGridCoarseMesh:
+    """Polygons with axis-parallel sides whose constrained Delaunay
+    triangulation has an obtuse triangle are meshed from the grid through
+    their vertex coordinates: every triangle is right-angled, so no
+    stiffness weight is positive at any level of the chain."""
+
+    COMB = comb(3)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), combs()), st.sampled_from([0.1, 0.04]))
+    @example(COMB, 0.05 / domain_scale(COMB))
+    def test_chain_is_m_matrix(self, polygon, fraction):
+        fine = triangulate(polygon, fraction * domain_scale(polygon))
+        chain = TestSimilarRefinement.check(fine, polygon)
+        assert mesh_quality(chain[-1]).nonobtuse_fraction == 1.0
+        for level in chain:
+            off, _ = level.stiffness_weights
+            assert off.max() <= 1e-12 * np.abs(level.stiffness.data).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            for mu in (1.0, 10.0):
+                values = solve_dirichlet(fine, mu).values
+                assert values.min() > 0.0 and values.max() <= 1.0
+
+    def test_skyline_grid(self):
+        dom = skyline((0.4, 1.2, 0.4, 0.8, 1.2))
+        m = triangulate(dom, 0.0625)
+        while m.coarse is not None:
+            m = m.coarse
+        # Ten cells of 0.4 x 0.4 under the columns, two right isosceles
+        # triangles each; every diagonal's weight is an exact 0.
+        grid = _grid_mesh(dom)
+        assert m.nodes.tobytes() == grid.nodes.tobytes()
+        assert m.triangles.tobytes() == grid.triangles.tobytes()
+        assert (m.n_nodes, m.n_triangles) == (21, 20)
+        assert abs(mesh_quality(m).min_angle - 45.0) <= 1e-9
+        off, _ = m.stiffness_weights
+        assert np.count_nonzero(off > 0.0) == 0 and np.count_nonzero(off == 0.0) == 10
+
+    @pytest.mark.parametrize("name", ["square", "l_shape"])
+    def test_nonobtuse_delaunay_kept(self, name):
+        # Both have axis-parallel sides and nonobtuse constrained Delaunay
+        # triangulations, which stay their coarse meshes bit for bit.
+        dom = unit_square() if name == "square" else l_shape()
+        v = dom.vertices
+        for target_h in (0.3, 0.05):
+            ref = Mesh(v, _lawson_flip(v, _ear_clip(v)))
+            while ref.h_max > 1.5 * target_h:
+                ref = refine_uniform(ref, dom)
+            m = triangulate(dom, target_h)
+            assert m.nodes.tobytes() == ref.nodes.tobytes()
+            assert m.triangles.tobytes() == ref.triangles.tobytes()

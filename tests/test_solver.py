@@ -261,8 +261,9 @@ class TestNeumann:
 
     def test_skyline_converges(self):
         # Columns of width 0.4 and heights 0.4, 1.2, 0.4, 0.8, 1.2.  The
-        # coarse mesh has thin triangles along the steps, and every level
-        # keeps their angles; CG must still converge well inside its cap.
+        # coarse mesh is the grid of 0.4 x 0.4 cells, each cut into two
+        # right triangles, and every level keeps their angles; CG must
+        # converge well inside its cap.
         dom = Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.2], [1.6, 1.2],
                        [1.6, 0.8], [1.2, 0.8], [1.2, 0.4], [0.8, 0.4],
                        [0.8, 1.2], [0.4, 1.2], [0.4, 0.4], [0.0, 0.4]])
@@ -298,6 +299,27 @@ def _iterations(monkeypatch, solve, mesh, mu):
         mp.setattr(solver, "solve_spd_system", counted)
         solve(mesh, mu)
     return len(counter)
+
+
+# The twelve skylines of the cli-jobs benchmark: five columns of width 0.4,
+# each of height 0.4, 0.8 or 1.2 and different from its neighbours.
+BENCH_SKYLINES = [
+    (0.4, 0.8, 0.4, 1.2, 0.4), (0.4, 1.2, 0.8, 0.4, 1.2), (1.2, 0.8, 0.4, 1.2, 0.4),
+    (1.2, 0.4, 0.8, 1.2, 0.8), (0.8, 1.2, 0.4, 1.2, 0.4), (1.2, 0.8, 0.4, 0.8, 1.2),
+    (1.2, 0.4, 0.8, 0.4, 0.8), (0.8, 0.4, 1.2, 0.8, 1.2), (0.4, 1.2, 0.4, 0.8, 1.2),
+    (1.2, 0.8, 0.4, 0.8, 0.4), (1.2, 0.4, 0.8, 1.2, 0.4), (1.2, 0.8, 1.2, 0.8, 0.4)]
+
+
+@pytest.mark.parametrize("heights", BENCH_SKYLINES)
+def test_skyline_cg_budget(heights, monkeypatch):
+    # As the CLI solves them: the mesh for mu starts at h = RESOLUTION_LIMIT
+    # / mu and is refined until resolved.  Their grid coarse meshes give
+    # M-matrices at every level, and multigrid-CG needs at most 20
+    # iterations per solve (about 51 on their Delaunay coarse meshes).
+    dom = skyline(heights)
+    for solve, mu in ((solve_dirichlet, 8.0), (solve_neumann, 4.0)):
+        [(_, m)] = Ladder(dom, triangulate(dom, RESOLUTION_LIMIT / mu), [mu])
+        assert _iterations(monkeypatch, solve, m, mu) <= 20
 
 
 class TestMultigrid:
@@ -377,8 +399,10 @@ class TestMultigrid:
     @staticmethod
     def assert_coarse_levels(mesh, mu, cycle):
         # Level l + 1 is the l-th coarse mesh's own interior operator at mu.
-        for a, p in zip(cycle.matrices[1:], cycle.prolongations):
+        for a, p, r in zip(cycle.matrices[1:], cycle.prolongations, cycle._restrictions):
             assert p is mesh.interior_prolongation
+            # The restriction is P^T as a view on P's arrays, not a copy.
+            assert r.shape == p.shape[::-1] and np.shares_memory(r.data, p.data)
             mesh = mesh.coarse
             m = mesh.lumped_mass[~mesh.boundary_node]
             assert_same_csr(a, solver._shift_diagonal(mesh.interior_stiffness, mu * mu * m))

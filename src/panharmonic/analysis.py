@@ -258,13 +258,27 @@ class Ladder:
     """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
     mesh refined until mu * h_max <= RESOLUTION_LIMIT.  At the first mu the
     triangle budget cannot resolve, iteration stops; stopped_at is then that
-    mu, and mesh the finest mesh that fit."""
+    mu, and mesh the finest mesh that fit.  The constructor checks mu_list
+    with check_mu_list."""
 
     def __init__(self, domain: Domain, first_mesh, mu_list):
         self.domain = domain
         self.mesh = first_mesh
-        self.mu_list = mu_list
+        self.mu_list = self.check_mu_list(mu_list)
         self.stopped_at: Optional[float] = None
+
+    @staticmethod
+    def check_mu_list(mu_list) -> list[float]:
+        """mu_list as floats; ValueError unless it is nonempty, finite,
+        positive and strictly ascending."""
+        mus = [float(m) for m in mu_list]
+        if not mus:
+            raise ValueError("need at least one mu value")
+        if not all(0.0 < m < math.inf for m in mus):
+            raise ValueError(f"mu values must be positive and finite, got {mus}")
+        if any(b <= a for a, b in zip(mus, mus[1:])):
+            raise ValueError(f"mu values must be strictly ascending, got {mus}")
+        return mus
 
     def __iter__(self):
         for mu in self.mu_list:
@@ -287,18 +301,12 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
     swept prefix only, and CONDITION_FAILS means "no certificate at the
     tested mu", never a proof of nonconvexity.
     """
-    mu_list = [float(m) for m in mu_list]
-    if not mu_list:
-        raise ValueError("mu_list must be nonempty")
-    if any(m <= 0.0 for m in mu_list) or any(
-            b <= a for a, b in zip(mu_list, mu_list[1:])):
-        raise ValueError("mu_list must be positive and strictly ascending")
     return _sweep(Ladder(domain, triangulate(domain, target_h), mu_list),
                   value_rule)
 
 
 def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:
-    """convexity_sweep over a ladder whose mu_list is already validated."""
+    """convexity_sweep over a ready ladder."""
     notes = [
         "one-directional check: nonnegative margins at the tested mu "
         "support convexity; a negative margin withholds the certificate "
@@ -374,6 +382,15 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def write_csv_rows(path, header: str, rows) -> None:
+    """The header line, then one line per row: every cell but the last as
+    format_float, the last, a flag, as 0 or 1."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header + "\n")
+        for *cells, flag in rows:
+            f.write(",".join([*map(format_float, cells), str(int(flag))]) + "\n")
+
+
 def write_report_json(report: ConvexityReport, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, indent=2)
@@ -383,11 +400,10 @@ def write_report_json(report: ConvexityReport, path) -> None:
 def write_margins_csv(report: ConvexityReport, path) -> None:
     """One row per mu: mu, min_margin, argmin_x, argmin_y, sup_error,
     resolution_ok.  17 significant digits throughout."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("mu,min_margin,argmin_x,argmin_y,sup_error,resolution_ok\n")
-        for cond, var in zip(report.condition_results, report.varadhan_results):
-            sup = var.sup_error if var is not None else math.nan
-            cells = map(format_float, (
-                cond.mu, cond.min_margin,
-                cond.argmin_centroid.x1, cond.argmin_centroid.x2, sup))
-            f.write(",".join([*cells, str(int(cond.resolution_ok))]) + "\n")
+    write_csv_rows(
+        path, "mu,min_margin,argmin_x,argmin_y,sup_error,resolution_ok",
+        ((cond.mu, cond.min_margin,
+          cond.argmin_centroid.x1, cond.argmin_centroid.x2,
+          math.nan if var is None else var.sup_error, cond.resolution_ok)
+         for cond, var in zip(report.condition_results,
+                              report.varadhan_results)))

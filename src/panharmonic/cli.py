@@ -8,8 +8,10 @@ Subcommands:
 * probe-superharmonic disc-average probes at reflex corners (CSV)
 * validate            built-in analytic cross-checks, pass/fail per line
 
-Both sweeps walk one analysis.Ladder from the first mesh.  At the first mu
-the triangle budget cannot resolve, they keep what completed and exit 1.
+Every command that solves (solve, varadhan, check-convexity) checks its mu
+list and walks one analysis.Ladder from the first mesh, so each field is
+solved on a mesh that resolves it.  At the first mu the triangle budget
+cannot resolve, the command keeps what completed and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
@@ -48,10 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_mu_spec(p):
         p.add_argument("--mu", type=float, action="append", metavar="MU",
-                       help="explicit mu value (repeatable, ascending)")
-        p.add_argument("--mu-start", type=float, metavar="S")
-        p.add_argument("--mu-factor", type=float, default=2.0, metavar="F")
-        p.add_argument("--mu-count", type=int, metavar="N")
+                       help="mu value (repeatable, ascending)")
         p.add_argument("--target-h", default="auto", metavar="H",
                        help="mesh edge target, or 'auto' (0.5/mu_max)")
 
@@ -103,26 +102,6 @@ class _ConfigError(Exception):
     pass
 
 
-def _mu_list(args) -> list[float]:
-    explicit = args.mu or []
-    sweep = args.mu_start is not None or args.mu_count is not None
-    if explicit and sweep:
-        raise _ConfigError("give either --mu values or a --mu-start sweep, not both")
-    if explicit:
-        if any(m <= 0 for m in explicit):
-            raise _ConfigError("--mu values must be positive")
-        if any(b <= a for a, b in zip(explicit, explicit[1:])):
-            raise _ConfigError("--mu values must be strictly ascending")
-        return explicit
-    if not sweep:
-        raise _ConfigError("need --mu values or --mu-start/--mu-count")
-    if args.mu_start is None or args.mu_count is None:
-        raise _ConfigError("a sweep needs both --mu-start and --mu-count")
-    if args.mu_start <= 0 or args.mu_count < 1 or args.mu_factor <= 1.0:
-        raise _ConfigError("sweep needs mu-start > 0, mu-factor > 1, mu-count >= 1")
-    return [args.mu_start * args.mu_factor ** k for k in range(args.mu_count)]
-
-
 def _initial_mesh(args, mu_max: float, domain):
     """The starting mesh: triangulated at --target-h, or for 'auto' at
     RESOLUTION_LIMIT / mu_max, coarsened until it fits the budget."""
@@ -140,9 +119,14 @@ def _initial_mesh(args, mu_max: float, domain):
     except ValueError:
         raise _ConfigError(f"--target-h must be a number or 'auto', "
                            f"got {args.target_h!r}")
-    if h <= 0:
-        raise _ConfigError("--target-h must be positive")
     return meshing.triangulate(domain, h)
+
+
+def _ladder(args, domain, mus) -> analysis.Ladder:
+    """The Ladder of mus from the initial mesh; mus is checked first, so a
+    bad list builds no mesh."""
+    mus = analysis.Ladder.check_mu_list(mus)
+    return analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
 
 
 def _out_dir(args) -> Path:
@@ -153,24 +137,26 @@ def _out_dir(args) -> Path:
 
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
-    m = _initial_mesh(args, args.mu, domain)
-    field = (solver.solve_neumann if args.neumann else
-             solver.solve_dirichlet)(m, args.mu)
-    out = _out_dir(args)
-    solver.save_field_text(field, out / "field.txt")
-    meshing.save_mesh_text(m, out / "mesh.txt")
-    print(f"solved {field.boundary_condition} field: mu={args.mu:g}, "
-          f"{m.n_nodes} nodes, h_max={m.h_max:.6g}, "
-          f"resolution_ok={field.resolution_ok}")
-    return _EXIT_OK
+    solve = solver.solve_neumann if args.neumann else solver.solve_dirichlet
+    # A one-step ladder: it yields the resolved mesh or stops on the budget.
+    for mu, m in _ladder(args, domain, [args.mu]):
+        field = solve(m, mu)
+        out = _out_dir(args)
+        solver.save_field_text(field, out / "field.txt")
+        meshing.save_mesh_text(m, out / "mesh.txt")
+        print(f"solved {field.boundary_condition} field: mu={mu:g}, "
+              f"{m.n_nodes} nodes, h_max={m.h_max:.6g}, "
+              f"resolution_ok={field.resolution_ok}")
+        return _EXIT_OK
+    raise meshing.MeshBudgetError(
+        f"triangle budget exceeded before mu={args.mu:g} was resolved")
 
 
 def _cmd_varadhan(args) -> int:
     domain = _load_domain(args.domain)
     if not (0.0 < args.rho < 0.5):
         raise _ConfigError("--rho must lie in (0, 1/2)")
-    mus = _mu_list(args)
-    ladder = analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
+    ladder = _ladder(args, domain, args.mu or [])
     rows = []
     for mu, m in ladder:
         if args.neumann:
@@ -185,7 +171,9 @@ def _cmd_varadhan(args) -> int:
         sup, (x, y) = ((math.nan, (math.nan, math.nan)) if res is None
                        else (res.sup_error, res.error_location))
         rows.append((mu, sup, x, y, env, field.resolution_ok))
-    _write_varadhan_csv(_out_dir(args) / "varadhan.csv", rows)
+    analysis.write_csv_rows(
+        _out_dir(args) / "varadhan.csv",
+        "mu,sup_error,error_x,error_y,envelope_constant,resolution_ok", rows)
     if ladder.stopped_at is not None:
         largest = f"{rows[-1][0]:g}" if rows else "none"
         print(f"error: triangle budget exceeded before "
@@ -199,18 +187,9 @@ def _cmd_varadhan(args) -> int:
     return _EXIT_OK
 
 
-def _write_varadhan_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("mu,sup_error,error_x,error_y,envelope_constant,resolution_ok\n")
-        for mu, sup, x, y, env, ok in rows:
-            cells = map(analysis.format_float, (mu, sup, x, y, env))
-            f.write(",".join([*cells, str(int(ok))]) + "\n")
-
-
 def _cmd_check_convexity(args) -> int:
     domain = _load_domain(args.domain)
-    mus = _mu_list(args)
-    ladder = analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
+    ladder = _ladder(args, domain, args.mu or [])
     report = analysis._sweep(ladder, args.value_rule)
     out = _out_dir(args)
     analysis.write_report_json(report, out / "report.json")
@@ -240,13 +219,10 @@ def _cmd_probe_superharmonic(args) -> int:
                 domain, i, args.corner_scale * adjacent))
     results = analysis.superharmonicity_probe(domain, probes)
     out = _out_dir(args)
-    with open(out / "probes.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("center_x,center_y,radius,mean,center_value,violated\n")
-        for r in results:
-            cells = map(analysis.format_float, (
-                r.probe.center.x1, r.probe.center.x2, r.probe.radius,
-                r.mean, r.center_value))
-            f.write(",".join([*cells, str(int(r.violated))]) + "\n")
+    analysis.write_csv_rows(
+        out / "probes.csv", "center_x,center_y,radius,mean,center_value,violated",
+        ((r.probe.center.x1, r.probe.center.x2, r.probe.radius, r.mean,
+          r.center_value, r.violated) for r in results))
     if not probes:
         print("no reflex corners found; probes.csv has only a header")
     else:

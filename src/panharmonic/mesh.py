@@ -59,8 +59,7 @@ class Mesh:
 
     nodes: (N, 2) float array.  triangles: (M, 3) int array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
-    directed so the domain lies on the left; boundary_normals holds the
-    matching outward unit normals.  coarse: the pair (coarse mesh,
+    directed so the domain lies on the left.  coarse: the pair (coarse mesh,
     prolongation) this mesh was built from, or None; kept as the
     attributes coarse and prolongation, the (N, coarse.n_nodes) CSR
     interpolation from the coarse mesh's nodes to these, every row summing
@@ -103,18 +102,13 @@ class Mesh:
         boundary_node = np.zeros(n, dtype=bool)
         boundary_node[boundary_dir.ravel()] = True
 
-        e = nodes[boundary_dir[:, 1]] - nodes[boundary_dir[:, 0]]
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        normals = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
-
         for arr in (nodes, triangles, areas, boundary_node, boundary_dir,
-                    normals, uniq, inverse, counts):
+                    uniq, inverse, counts):
             arr.setflags(write=False)
         self.nodes = nodes
         self.triangles = triangles
         self.boundary_node = boundary_node
         self.boundary_edges = boundary_dir
-        self.boundary_normals = normals
         # Edge topology as returned by _edge_topology, kept for refinement.
         self._edges_unique = uniq
         self._edge_inverse = inverse
@@ -134,13 +128,9 @@ class Mesh:
         return self._areas
 
     @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        e = self.nodes[self._edges_unique[:, 1]] - self.nodes[self._edges_unique[:, 0]]
-        return np.hypot(e[:, 0], e[:, 1])
-
-    @property
     def h_max(self) -> float:
-        return float(self.edge_lengths.max())
+        e = self.nodes[self._edges_unique[:, 1]] - self.nodes[self._edges_unique[:, 0]]
+        return float(np.hypot(e[:, 0], e[:, 1]).max())
 
     # The mu-free pieces of P1 assembly.  They depend only on the mesh, which
     # is immutable, so each is built on first use and lives as long as the

@@ -109,11 +109,6 @@ class DiscSolution:
             raise ValueError("mu * radius exceeds the overflow guard")
 
     @property
-    def a(self) -> float:
-        """Boundary normalization 1/I0(mu * radius)."""
-        return 1.0 / bessel_i0(self.mu * self.radius)
-
-    @property
     def _log_edge(self) -> float:
         return log_bessel_i0(self.mu * self.radius)
 

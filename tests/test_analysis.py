@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from panharmonic import analysis
 from panharmonic.analysis import (ConditionResult, DecayEnvelope, Ladder,
                                   NonpositiveFieldError, VERDICT_FAILS,
                                   VERDICT_HOLDS, canonical_corner_probe,
@@ -236,10 +237,20 @@ class TestSweep:
         assert any("one-directional" in n for n in report.notes)
         assert any("centroid" in n for n in report.notes)
 
-    def test_mu_list_validation(self, unit_disc):
-        for bad in ([], [2.0, 1.0], [-1.0], [1.0, 1.0]):
+    def test_mu_list_validation(self, unit_disc, monkeypatch):
+        solves = []
+        monkeypatch.setattr(analysis, "solve_dirichlet",
+                            lambda *args: solves.append(args))
+        first = triangulate(unit_disc, 0.3)
+        for bad in ([], [2.0, 1.0], [-1.0], [1.0, 1.0], [1.0, math.inf],
+                    [1.0, math.nan]):
             with pytest.raises(ValueError):
                 convexity_sweep(unit_disc, bad, 0.3)
+            with pytest.raises(ValueError):
+                Ladder(unit_disc, first, bad)
+        assert solves == []
+        mus = Ladder(unit_disc, first, [1, np.float32(2.0)]).mu_list
+        assert mus == [1.0, 2.0] and all(type(m) is float for m in mus)
 
     def test_budget_truncation(self, unit_disc):
         report = convexity_sweep(unit_disc, [1.0, 2000.0], 0.3)

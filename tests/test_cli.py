@@ -1,6 +1,7 @@
 """End-to-end command-line checks: flags, files, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from panharmonic import analysis, cli
 from panharmonic import mesh as meshing
 from panharmonic.geometry import (Polygon, dump_domain, l_shape, unit_disc,
                                   unit_square)
-from panharmonic.solver import solve_neumann
+from panharmonic.solver import ResolutionWarning, solve_neumann
 
 
 @pytest.fixture()
@@ -46,6 +47,18 @@ class TestSolve:
                          "--target-h", "0.1", "--output-dir", str(out)]) == 0
         assert (a / "field.txt").read_bytes() == (b / "field.txt").read_bytes()
         assert (a / "mesh.txt").read_bytes() == (b / "mesh.txt").read_bytes()
+
+    def test_lshape_auto_target_resolves(self, domains, tmp_path, capsys):
+        # auto meshes at 0.5/mu, but the L-shape's coarse mesh then has
+        # h_max 0.0625; the ladder refines it once more.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            code = _run(["solve", "--domain", domains["lshape"], "--mu", "10",
+                         "--output-dir", str(tmp_path / "l")])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "solved dirichlet field: mu=10, 8385 nodes, h_max=0.03125, "
+            "resolution_ok=True\n")
 
 
 class TestVaradhan:
@@ -108,7 +121,7 @@ class TestCheckConvexity:
     def test_lshape_fails_with_report(self, domains, tmp_path, capsys):
         out = tmp_path / "c"
         code = _run(["check-convexity", "--domain", domains["lshape"],
-                     "--mu-start", "5", "--mu-factor", "2", "--mu-count", "2",
+                     "--mu", "5", "--mu", "10",
                      "--target-h", "0.05", "--output-dir", str(out)])
         assert code == 0
         assert "CONDITION_FAILS" in capsys.readouterr().out
@@ -236,25 +249,33 @@ def test_validation_check(name, check):
 
 
 class TestConfigErrors:
-    def test_exit_2_cases(self, domains, tmp_path, capsys):
+    def test_exit_2_cases(self, domains, tmp_path, capsys, monkeypatch):
         cases = [
-            ["varadhan", "--domain", domains["disc"]],                  # no mu
-            ["varadhan", "--domain", domains["disc"], "--mu", "2",
-             "--mu-start", "1", "--mu-count", "2"],                     # both
-            ["varadhan", "--domain", domains["disc"],
-             "--mu", "5", "--mu", "3"],                                 # descending
-            ["varadhan", "--domain", domains["disc"],
-             "--mu-start", "2", "--mu-factor", "1.0", "--mu-count", "2"],
-            ["varadhan", "--domain", domains["disc"], "--mu", "2",
-             "--rho", "0.7"],
-            ["check-convexity", "--domain", domains["disc"], "--mu", "2",
-             "--target-h", "soon"],
-            ["solve", "--domain", str(tmp_path / "nope.json"), "--mu", "1"],
+            (["varadhan", "--domain", domains["disc"]], "at least one mu"),
+            (["varadhan", "--domain", domains["disc"],
+              "--mu", "5", "--mu", "3"], "mu values must be strictly ascending"),
+            (["varadhan", "--domain", domains["disc"],
+              "--mu", "1", "--mu", "inf"], "mu values must be positive and finite"),
+            (["solve", "--domain", domains["disc"], "--mu", "-1"],
+             "mu values must be positive and finite"),
+            (["varadhan", "--domain", domains["disc"], "--mu", "2",
+              "--rho", "0.7"], "--rho"),
+            (["check-convexity", "--domain", domains["disc"], "--mu", "2",
+              "--target-h", "soon"], "--target-h"),
+            (["solve", "--domain", str(tmp_path / "nope.json"), "--mu", "1"],
+             "not found"),
         ]
-        for argv in cases:
+        # Every case is rejected before a mesh is built.
+        meshed = []
+        monkeypatch.setattr(meshing, "triangulate",
+                            lambda *args: meshed.append(args))
+        for argv, message in cases:
             argv += ["--output-dir", str(tmp_path / "cfg")]
             assert _run(argv) == 2, argv
-            assert "configuration error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:"), argv
+            assert message in err, argv
+        assert meshed == []
 
     def test_malformed_json_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,0 +1,16 @@
+"""Every narrative script under demos/ runs on its own without error."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(path, capsys):
+    # In process: a subprocess per demo costs several times more, mostly in
+    # imports.
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

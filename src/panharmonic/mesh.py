@@ -19,6 +19,26 @@ with R rings, the web with ceil(R/2) rings (polar-bilinear interpolation).
 The solver's multigrid preconditioner runs over that chain of meshes, each
 level with the operators its own mesh caches.
 
+A uniform refinement of a polygon mesh computes none of its geometry.  Each
+child triangle is similar to its parent at half the size (the middle child
+also turned by a half-turn), so its area is the parent's area / 4, its hat
+gradients are +-2 times the parent's, and its local stiffness products
+A grad(lambda_i).grad(lambda_j), which depend only on the angles, are the
+parent's; _CHILD_CORNERS says which parent corner each child corner copies.
+Scaling by 2 and 4 is exact in binary floating point, so each stiffness
+weight of a refined level is, exactly, a weight of the chain's coarsest mesh
+(on the halves of a coarse edge) or twice one of its local side products (on
+the edges between midpoints).  Positive areas and the sign pattern of K (an
+M-matrix exactly when no weight is positive) are therefore settled on the
+coarsest mesh, whatever the rounding of the refined nodes.  Disc refinements
+project boundary midpoints onto the circle, so their children are not
+similar; they, the coarsest mesh of each chain and meshes built directly
+compute their geometry from their nodes.
+
+Topology is kept compact: triangles, unique edges and the side-to-edge map
+are int32 (TRIANGLE_BUDGET keeps every index below 2^31), and the count of
+triangles per edge is uint8.
+
 Everything here is deterministic: no randomization, fixed iteration orders,
 and refinement that depends only on the input mesh.
 """
@@ -36,6 +56,13 @@ from .geometry import (GEOMETRIC_TOL, Disc, Domain, Polygon, _bbox_diagonal,
                        _orient, domain_scale)
 
 TRIANGLE_BUDGET = 2_000_000
+# refine_uniform's child block j (of 4) is similar to its parent triangle
+# with child corner i at parent corner _CHILD_CORNERS[j][i], so child side i
+# (corner i to i + 1) lies along parent side _CHILD_CORNERS[j][i].  Blocks
+# 0-2 are the corner children, scaled by 1/2 about a parent corner; block 3
+# is the middle child, scaled by -1/2, which negates its gradients.
+_CHILD_CORNERS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]])
+_CHILD_GRADIENT_SCALES = (2.0, 2.0, 2.0, -2.0)
 # Longest edge of the disc web is the first sector diagonal of each annulus,
 # sqrt(1 + (pi/3)^2) ~ 1.448 times the ring spacing.
 _DISC_EDGE_FACTOR = 1.4480
@@ -57,22 +84,30 @@ class MeshQuality:
 class Mesh:
     """Immutable triangle mesh with boundary structure.
 
-    nodes: (N, 2) float array.  triangles: (M, 3) int array, each row
+    nodes: (N, 2) float array.  triangles: (M, 3) int32 array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
-    directed so the domain lies on the left.  coarse: the pair (coarse mesh,
-    prolongation) this mesh was built from, or None; kept as the
-    attributes coarse and prolongation, the (N, coarse.n_nodes) CSR
+    int32, directed so the domain lies on the left.  coarse: the pair
+    (coarse mesh, prolongation) this mesh was built from, or None; kept as
+    the attributes coarse and prolongation, the (N, coarse.n_nodes) CSR
     interpolation from the coarse mesh's nodes to these, every row summing
     to 1.  A coarse mesh never refers back to its refinements, so a chain
     holds no reference cycle.  edges: the (uniq, inverse, counts) that
     _edge_topology would return for triangles, when the caller already has
     them.
+
+    The mu-free pieces of P1 assembly are cached on first use: the
+    stiffness weights, K and K_II, the row sums K 1 and the lumped mass.
+    A mesh that computes its geometry from its nodes also caches its
+    (M, 3, 2) hat gradients.  A refinement of a polygon mesh (see the
+    module docstring) takes its areas from its coarse mesh, and gathers
+    its gradients and local stiffness products from there whenever they
+    are asked for, caching neither.
     """
 
     def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix] | None = None,
                  edges: tuple | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must be an (N, 2) array")
         if not np.all(np.isfinite(nodes)):
@@ -82,11 +117,9 @@ class Mesh:
         n = nodes.shape[0]
         if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
             raise ValueError("triangle node index out of range")
-
-        areas = _signed_areas(nodes, triangles)
-        if np.any(areas <= 0.0):
-            bad = int(np.argmax(areas <= 0.0))
-            raise ValueError(f"triangle {bad} is degenerate or flipped")
+        triangles = np.ascontiguousarray(triangles, dtype=np.int32)
+        self.coarse, self.prolongation = coarse or (None, None)
+        areas = self._triangle_areas(nodes, triangles)
 
         uniq, inverse, counts = _edge_topology(triangles, n) if edges is None else edges
         if counts.max(initial=1) > 2:
@@ -114,7 +147,14 @@ class Mesh:
         self._edge_inverse = inverse
         self._edge_counts = counts
         self._areas = areas
-        self.coarse, self.prolongation = coarse or (None, None)
+
+    def _triangle_areas(self, nodes, triangles) -> np.ndarray:
+        """The (M,) triangle areas, checked positive."""
+        areas = _signed_areas(nodes, triangles)
+        if np.any(areas <= 0.0):
+            bad = int(np.argmax(areas <= 0.0))
+            raise ValueError(f"triangle {bad} is degenerate or flipped")
+        return areas
 
     @property
     def n_nodes(self) -> int:
@@ -142,6 +182,8 @@ class Mesh:
         triangle areas they are scaled by: ((M, 3, 2), (M,)), read-only.
 
         grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
+        Computed from the nodes and cached here; a refinement of a polygon
+        mesh gathers them from its coarse mesh on each call instead.
         """
         x, y = _corner_coordinates(self.nodes, self.triangles)
         # Column i holds p_{i+2} - p_{i+1}.
@@ -162,20 +204,30 @@ class Mesh:
         A_t grad(lambda_lo).grad(lambda_hi), i.e. -(cot a + cot b) / 2 for
         the angles a, b opposite it.  K is an M-matrix exactly when no off[e]
         is positive.  diag[i] sums A_t |grad(lambda_i)|^2 over the triangles
-        at node i, in triangle order.
+        at node i, in triangle order.  The per-triangle products come from
+        _local_products; on a refinement of a polygon mesh they are copies
+        of the coarsest mesh's, so the signs of off are settled there (see
+        the module docstring).
         """
-        grads, areas = self.hat_gradients
-        # Products on the sides 01, 12, 20 of each triangle, ordered by side
-        # first as _edge_inverse is.
-        sides = np.einsum("tbk,tbk->tb", grads, grads[:, [1, 2, 0]]) * areas[:, None]
-        off = np.bincount(self._edge_inverse, weights=sides.T.ravel(),
+        sides, corners = self._local_products()
+        off = np.bincount(self._edge_inverse, weights=sides.ravel(),
                           minlength=self._edges_unique.shape[0])
-        corners = np.einsum("tbk,tbk->tb", grads, grads) * areas[:, None]
+        del sides
         diag = np.bincount(self.triangles.ravel(), weights=corners.ravel(),
                            minlength=self.n_nodes)
         off.setflags(write=False)
         diag.setflags(write=False)
         return off, diag
+
+    def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """The local stiffness A_t grad(lambda_i).grad(lambda_j) of each
+        triangle: the (3, M) products on the sides 01, 12, 20, ordered by
+        side first as _edge_inverse is, and the (M, 3) products at the
+        corners (i = j).  Not cached."""
+        grads, areas = self.hat_gradients
+        sides = np.einsum("tbk,tbk->tb", grads, grads[:, [1, 2, 0]]) * areas[:, None]
+        corners = np.einsum("tbk,tbk->tb", grads, grads) * areas[:, None]
+        return sides.T, corners
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -194,7 +246,7 @@ class Mesh:
         edges = self._edges_unique
         keep = interior[edges[:, 0]] & interior[edges[:, 1]]
         # Renumbering preserves order, so the kept edges stay sorted.
-        renumber = np.cumsum(interior) - 1
+        renumber = np.cumsum(interior, dtype=np.int32) - 1
         return _symmetric_csr(renumber[edges[keep]], off[keep], diag[interior])
 
     @cached_property
@@ -219,11 +271,50 @@ class Mesh:
     def lumped_mass(self) -> np.ndarray:
         """Lumped mass vector: one third of the adjacent triangle area per
         node.  Read-only."""
-        _, areas = self.hat_gradients
         lumped = np.zeros(self.n_nodes)
-        np.add.at(lumped, self.triangles.ravel(), np.repeat(areas / 3.0, 3))
+        np.add.at(lumped, self.triangles.ravel(), np.repeat(self._areas / 3.0, 3))
         lumped.setflags(write=False)
         return lumped
+
+
+class _SimilarRefinement(Mesh):
+    """A uniform refinement of a polygon mesh (refine_uniform): every child
+    triangle is similar to its parent (_CHILD_CORNERS), so its area, hat
+    gradients and local stiffness products are the parent's, copied and
+    scaled by exact powers of two.  A child's area is positive when its
+    parent's is, so it is not checked again."""
+
+    def _triangle_areas(self, nodes, triangles) -> np.ndarray:
+        return np.tile(0.25 * self.coarse._areas, 4)
+
+    @property
+    def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mesh.hat_gradients, gathered from the coarse mesh's on each call
+        and not cached: +-2 times the parent's, in the child's corner
+        order."""
+        grads = _children(self.coarse.hat_gradients[0], _CHILD_GRADIENT_SCALES)
+        grads.setflags(write=False)
+        return grads, self._areas
+
+    def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
+        sides, corners = self.coarse._local_products()
+        # sides[_CHILD_CORNERS.T][i, j] holds side _CHILD_CORNERS[j][i] of
+        # every parent, side i of child block j: (3, 4, M) -> (3, 4M).
+        return sides[_CHILD_CORNERS.T].reshape(3, -1), _children(corners)
+
+
+def _children(values: np.ndarray, scales=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
+    """A per-corner (M, 3, ...) array of parent triangles carried to
+    refine_uniform's 4M children: child block j takes scales[j] times the
+    values at the parent corners _CHILD_CORNERS[j]."""
+    m = values.shape[0]
+    out = np.empty((4 * m,) + values.shape[1:], dtype=values.dtype)
+    for j, (corners, scale) in enumerate(zip(_CHILD_CORNERS, scales)):
+        block = out[j * m:(j + 1) * m]
+        # mode="clip" writes straight into block; "raise" would buffer a copy.
+        np.take(values, corners, axis=1, out=block, mode="clip")
+        block *= scale
+    return out
 
 
 def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
@@ -232,40 +323,53 @@ def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
     (lo, hi) and (hi, lo) of edges[e], by scipy's COO -> CSR conversion;
     no entry is duplicated, so nothing is summed.  Exact zeros in off are
     not stored.  Raises AssertionError unless the result is exactly
-    symmetric; its arrays are read-only.
+    symmetric (_assert_symmetric); its arrays are read-only.
     """
     n = diag.shape[0]
     keep = off != 0.0
-    lo, hi, nodes = edges[keep, 0], edges[keep, 1], np.arange(n)
+    lo, hi, nodes = edges[keep, 0], edges[keep, 1], np.arange(n, dtype=edges.dtype)
     rows, cols = np.concatenate([lo, hi, nodes]), np.concatenate([hi, lo, nodes])
+    del lo, hi
     k = sp.csr_matrix((np.concatenate([off[keep], off[keep], diag]), (rows, cols)),
                       shape=(n, n))
-    skew = k - k.T
-    if skew.nnz and np.max(np.abs(skew.data)) != 0.0:
-        raise AssertionError("stiffness matrix is not exactly symmetric")
+    # The check's transpose is the peak of building K_II: free these first.
+    del rows, cols
+    _assert_symmetric(k)
     for arr in (k.data, k.indices, k.indptr):
         arr.setflags(write=False)
     return k
 
 
+def _assert_symmetric(k: sp.csr_matrix) -> None:
+    """Raises AssertionError unless the CSR matrix k, whose indices are
+    sorted, equals its transpose exactly: k.T converted to CSR with sorted
+    indices has k's indptr, indices and data."""
+    kt = k.T.tocsr()
+    kt.sort_indices()
+    if not (np.array_equal(kt.indptr, k.indptr) and np.array_equal(kt.indices, k.indices)
+            and np.array_equal(kt.data, k.data)):
+        raise AssertionError("stiffness matrix is not exactly symmetric")
+
+
 def _edge_topology(triangles: np.ndarray, n_nodes: int):
     """Edges of a triangle list on nodes 0 .. n_nodes - 1.
 
-    Returns (uniq, inverse, counts): the sorted unique undirected edges; the
-    index into uniq of each of the 3M triangle sides, in blocks 01, 12, 20;
-    and how many triangles share each unique edge.  Edges are deduplicated
-    on the int64 key lo * n_nodes + hi, which sorts exactly as the (lo, hi)
-    rows do.
+    Returns (uniq, inverse, counts): the (E, 2) int32 sorted unique
+    undirected edges; the int32 index into uniq of each of the 3M triangle
+    sides, in blocks 01, 12, 20; and, as uint8 saturating at 255, how many
+    triangles share each unique edge.  Edges are deduplicated on the int64
+    key lo * n_nodes + hi, which sorts exactly as the (lo, hi) rows do.
     """
     directed = np.concatenate([triangles[:, [0, 1]],
                                triangles[:, [1, 2]],
                                triangles[:, [2, 0]]])
-    lo = np.minimum(directed[:, 0], directed[:, 1])
+    lo = np.minimum(directed[:, 0], directed[:, 1]).astype(np.int64)
     hi = np.maximum(directed[:, 0], directed[:, 1])
+    del directed
     keys, inverse, counts = np.unique(lo * n_nodes + hi,
                                       return_inverse=True, return_counts=True)
-    uniq = np.column_stack([keys // n_nodes, keys % n_nodes])
-    return uniq, inverse, counts
+    uniq = np.column_stack([keys // n_nodes, keys % n_nodes]).astype(np.int32)
+    return uniq, inverse.astype(np.int32), np.minimum(counts, 255).astype(np.uint8)
 
 
 def _corner_coordinates(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
@@ -541,7 +645,10 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
     """Split every triangle into 4 by edge midpoints.
 
     For disc domains, midpoints of boundary edges are projected onto the
-    circle so refinement never flattens the boundary.
+    circle so refinement never flattens the boundary.  On a polygon every
+    child is similar to its parent, and the refined mesh inherits its
+    areas, hat gradients and local stiffness from mesh (see the module
+    docstring).
     """
     if 4 * mesh.n_triangles > TRIANGLE_BUDGET:
         raise MeshBudgetError(
@@ -559,7 +666,7 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
         norm = np.hypot(rel[:, 0], rel[:, 1])
         mids[on_boundary] = c + domain.radius * rel / norm[:, None]
 
-    mid_idx = mesh.n_nodes + np.arange(uniq.shape[0])
+    mid_idx = mesh.n_nodes + np.arange(uniq.shape[0], dtype=np.int32)
     m01 = mid_idx[inverse[:m]]
     m12 = mid_idx[inverse[m:2 * m]]
     m20 = mid_idx[inverse[2 * m:]]
@@ -578,8 +685,9 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
          np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
          np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
         shape=(n + n_edges, n))
-    return Mesh(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
-                _refined_edges(mesh))
+    child = Mesh if isinstance(domain, Disc) else _SimilarRefinement
+    return child(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
+                 _refined_edges(mesh))
 
 
 def _refined_edges(mesh: Mesh) -> tuple:
@@ -601,19 +709,19 @@ def _refined_edges(mesh: Mesh) -> tuple:
     # edge blocks of the parent triangles.
     lo = np.concatenate([uniq[:, 0], uniq[:, 1], n + np.minimum(e01, e12),
                          n + np.minimum(e12, e20), n + np.minimum(e20, e01)])
-    hi = np.concatenate([n + np.arange(n_edges), n + np.arange(n_edges),
-                         n + np.maximum(e01, e12), n + np.maximum(e12, e20),
-                         n + np.maximum(e20, e01)])
-    order = np.argsort(lo * (n + n_edges) + hi)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
+    mid_nodes = n + np.arange(n_edges, dtype=np.int32)
+    hi = np.concatenate([mid_nodes, mid_nodes, n + np.maximum(e01, e12),
+                         n + np.maximum(e12, e20), n + np.maximum(e20, e01)])
+    order = np.argsort(lo.astype(np.int64) * (n + n_edges) + hi)
+    rank = np.empty(order.shape, dtype=np.int32)
+    rank[order] = np.arange(order.shape[0], dtype=np.int32)
 
     tris = mesh.triangles
 
     def half(e, corner):
         return np.where(uniq[e, 0] == corner, e, n_edges + e)
 
-    first = 2 * n_edges + np.arange(m)
+    first = 2 * n_edges + np.arange(m, dtype=np.int32)
     mid01_12, mid12_20, mid20_01 = first, first + m, first + 2 * m
     # The children's sides 01, 12, 20 in the block order of refine_uniform.
     generated = np.concatenate([

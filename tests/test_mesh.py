@@ -201,6 +201,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="orphan"):
             Mesh(nodes, np.array([[0, 1, 3]]))
 
+    def test_edge_shared_by_256_triangles(self):
+        # Per-edge triangle counts are uint8; 256 must not wrap to 0 and
+        # pass as a conforming mesh.
+        nodes = np.vstack([[[0.0, 0.0], [1.0, 0.0]],
+                           np.column_stack([np.full(256, 0.5), np.arange(1.0, 257.0)])])
+        fan = np.column_stack([np.zeros(256, int), np.ones(256, int), np.arange(2, 258)])
+        with pytest.raises(ValueError, match="nonconforming"):
+            Mesh(nodes, fan)
+
     def test_arrays_read_only(self, unit_square):
         m = triangulate(unit_square, 0.5)
         with pytest.raises(ValueError):
@@ -275,6 +284,9 @@ class TestFastPaths:
     """The vectorized mesh routines against the plain versions they
     replaced, kept here as references."""
 
+    # (uniq, inverse, counts) of _edge_topology and of every mesh.
+    TOPOLOGY_DTYPES = (np.int32, np.int32, np.uint8)
+
     @staticmethod
     def edge_topology_reference(triangles):
         directed = np.concatenate([triangles[:, [0, 1]],
@@ -325,8 +337,8 @@ class TestFastPaths:
                 m = self.permuted(m)
         got = _edge_topology(m.triangles, m.n_nodes)
         _, *ref = self.edge_topology_reference(m.triangles)
-        for g, r in zip(got, ref):
-            assert g.dtype == r.dtype
+        for g, r, dtype in zip(got, ref, self.TOPOLOGY_DTYPES):
+            assert g.dtype == dtype
             assert np.array_equal(g, r)
         assert np.array_equal(m._edges_unique, ref[0])
         self.assert_boundary_edges(m)
@@ -352,9 +364,9 @@ class TestFastPaths:
         once = refine_uniform(coarse, dom)
         for m in (coarse, once, refine_uniform(once, dom)):
             uniq, inverse, counts = _edge_topology(m.triangles, m.n_nodes)
-            for got, ref in ((m._edges_unique, uniq), (m._edge_inverse, inverse),
-                             (m._edge_counts, counts)):
-                assert got.dtype == ref.dtype
+            for got, ref, dtype in zip((m._edges_unique, m._edge_inverse, m._edge_counts),
+                                       (uniq, inverse, counts), self.TOPOLOGY_DTYPES):
+                assert got.dtype == ref.dtype == dtype
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
             self.assert_boundary_edges(m)
@@ -576,6 +588,73 @@ class TestSimilarRefinement:
             assert (p @ level.coarse.nodes).tobytes() == level.nodes.tobytes()
         assert refine_uniform(fine, polygon).n_triangles == 4 * fine.n_triangles
         return chain
+
+
+def _rotated_l_shape(theta=0.7, scale=1.3) -> Polygon:
+    """The L-shape turned by theta and scaled: its right angles are no
+    longer exact in floating point, as in the bench's similarity copies."""
+    c, s = math.cos(theta), math.sin(theta)
+    return Polygon(l_shape().vertices @ (scale * np.array([[c, s], [-s, c]])))
+
+
+class TestInheritedGeometry:
+    """A uniform refinement of a polygon mesh copies its areas, hat
+    gradients and local stiffness from its parent.  At every level of the
+    chain they match what a fresh Mesh(nodes, triangles) computes from the
+    nodes: within rounding in general, bit for bit on dyadic domains."""
+
+    ROTATED_L = _rotated_l_shape()
+
+    @staticmethod
+    def levels(fine):
+        """(level, the same mesh built directly) down the chain under fine."""
+        level = fine
+        while level is not None:
+            yield level, Mesh(level.nodes, level.triangles)
+            level = level.coarse
+
+    @staticmethod
+    def geometry(m):
+        off, diag = m.stiffness_weights
+        return off, diag, m.triangle_areas(), m.lumped_mass, m.hat_gradients[0]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), combs(), star_polygons()))
+    @example(ROTATED_L)
+    @example(regular_polygon(7, radius=1.0))
+    def test_matches_computed_geometry(self, polygon):
+        try:
+            fine = triangulate(polygon, 0.01 * domain_scale(polygon))
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        assert fine.coarse is not None
+        for level, fresh in self.levels(fine):
+            for got, ref in zip(self.geometry(level), self.geometry(fresh)):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["square", "l_shape"])
+    def test_dyadic_domains_bit_identical(self, name):
+        dom = unit_square() if name == "square" else l_shape()
+        for level, fresh in self.levels(triangulate(dom, 0.01)):
+            for got, ref in zip(self.geometry(level)[:4], self.geometry(fresh)[:4]):
+                assert got.tobytes() == ref.tobytes()
+            assert level.stiffness.data.tobytes() == fresh.stiffness.data.tobytes()
+
+    def test_int32_topology_past_key_overflow(self, l_shape):
+        # Above 46,341 nodes the edge key lo * n_nodes overflows int32; the
+        # refined edges and a fresh sort must still match the int64
+        # reference.
+        m = refine_uniform(triangulate(l_shape, 0.0125), l_shape)
+        assert m.n_nodes > 46_341
+        _, *ref = TestFastPaths.edge_topology_reference(m.triangles.astype(np.int64))
+        for got in ((m._edges_unique, m._edge_inverse, m._edge_counts),
+                    _edge_topology(m.triangles, m.n_nodes)):
+            for g, r, dtype in zip(got, ref, TestFastPaths.TOPOLOGY_DTYPES):
+                assert g.dtype == dtype
+                assert np.array_equal(g, r)
 
 
 class TestGridCoarseMesh:

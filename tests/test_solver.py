@@ -42,6 +42,16 @@ def assert_same_csr(a, b):
 
 
 class TestAssembly:
+    def test_symmetry_check_rejects_one_asymmetric_entry(self):
+        # One off-diagonal entry with no mirror, and a mirrored pair that
+        # differs in its last bit.
+        lone = sp.csr_matrix(([1.0, 0.5, 1.0], ([0, 0, 1], [0, 1, 1])), shape=(2, 2))
+        uneven = sp.csr_matrix(np.array([[1.0, 0.5], [0.5 + 2.0**-53, 1.0]]))
+        for k in (lone, uneven):
+            with pytest.raises(AssertionError, match="not exactly symmetric"):
+                meshing._assert_symmetric(k)
+        meshing._assert_symmetric(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
+
     def test_exact_symmetry(self, l_shape):
         operator, lumped = assemble(triangulate(l_shape, 0.3), 2.0)
         skew = (operator - operator.T).tocsr()
@@ -91,7 +101,11 @@ class TestAssembly:
         # diagonal's duplicates in its own order, which moves a few ulp.
         m = triangulate(l_shape, 0.1)
         grads, ref_k, ref_diag, ref_lumped = self.assemble_reference(m)
-        assert m.hat_gradients[0].tobytes() == grads.tobytes()
+        # A computed mesh's gradients match bit for bit.  The refined mesh
+        # inherits its parent's, which equal them by value; a few zeros
+        # differ in sign.
+        assert Mesh(m.nodes, m.triangles).hat_gradients[0].tobytes() == grads.tobytes()
+        assert np.array_equal(m.hat_gradients[0], grads)
         p = m.nodes[m.triangles]
         u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         signed = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
@@ -530,6 +544,24 @@ class TestGradient:
         grads = gradient_field(m, field)
         assert np.allclose(grads.vectors, [2.0, 3.0], atol=1e-12)
         assert grads.magnitudes() == pytest.approx(math.sqrt(13.0), rel=1e-12)
+
+    def test_refined_chain_keeps_no_gradients(self, l_shape):
+        # After a solve and its gradients, no level above the coarse mesh
+        # holds an (M, 3, 2) array, and the topology stays int32 / uint8.
+        m = triangulate(l_shape, 0.05)
+        gradient_field(m, solve_dirichlet(m, 5.0))
+        levels = [m]
+        while levels[-1].coarse is not None:
+            levels.append(levels[-1].coarse)
+        assert len(levels) > 2
+        for level in levels[:-1]:
+            cached = [a for v in vars(level).values()
+                      for a in (v if isinstance(v, tuple) else (v,))]
+            assert not any(isinstance(a, np.ndarray) and a.shape == (level.n_triangles, 3, 2)
+                           for a in cached)
+            for name in ("triangles", "boundary_edges", "_edges_unique", "_edge_inverse"):
+                assert getattr(level, name).dtype == np.int32
+            assert level._edge_counts.dtype == np.uint8
 
     def test_mesh_mismatch_rejected(self, unit_square):
         m1 = triangulate(unit_square, 0.3)

@@ -158,14 +158,19 @@ def condition_margin(field: ScalarField, grads: GradientField,
     """
     if grads.mesh is not field.mesh:
         raise ValueError("field and gradients live on different meshes")
-    tri_vals = field.values[field.mesh.triangles]
-    if value_rule == "centroid":
-        v_tri = tri_vals.mean(axis=1)
-    elif value_rule == "min-vertex":
-        v_tri = tri_vals.min(axis=1)
-    else:
+    combine = {"centroid": np.add, "min-vertex": np.minimum}.get(value_rule)
+    if combine is None:
         raise ValueError(f"unknown value_rule: {value_rule!r}")
-    margins = field.mu * v_tri - grads.magnitudes()
+    # One corner column at a time, in corner order: the same bits as the
+    # mean and min over the (M, 3) corner values, without forming them.
+    tris = field.mesh.triangles
+    margins = field.values[tris[:, 0]]
+    for i in (1, 2):
+        combine(margins, field.values[tris[:, i]], out=margins)
+    if value_rule == "centroid":
+        margins /= 3.0
+    margins *= field.mu
+    margins -= grads.magnitudes()
     k = int(np.argmin(margins))
     centroid = field.mesh.nodes[field.mesh.triangles[k]].mean(axis=0)
     tol = MARGIN_TOL_FACTOR * field.mu * float(field.values.max())

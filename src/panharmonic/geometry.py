@@ -34,6 +34,9 @@ import numpy as np
 # Relative tolerance for "on the boundary" / "coincident vertices" tests,
 # multiplied by the bounding-box diagonal.
 GEOMETRIC_TOL = 1e-12
+# boundary_distance_batch takes a polygon's edges in blocks of at most this
+# many point-edge pairs.
+_BLOCK_PAIRS = 2**15
 
 
 class Point2(NamedTuple):
@@ -215,11 +218,14 @@ def boundary_distance_batch(domain: Domain, points: np.ndarray) -> np.ndarray:
     """Vectorized |boundary distance| for an (n, 2) array of points.
 
     No containment check is performed; exterior points get their unsigned
-    distance to the boundary curve.  For a polygon, one pass per edge keeps
-    the running minimum of the squared distance to that edge's clamped foot
-    point, and one square root ends it (the root is monotone, so the two
-    commute).  Memory is O(n) and each row is computed independently of the
-    others, so a single-point call returns the same bits as its row here.
+    distance to the boundary curve.  For a polygon, one pass per block of
+    edges keeps the running minimum of the squared distance to each edge's
+    clamped foot point, and one square root ends it (the root is monotone,
+    so the two commute).  A block holds at most _BLOCK_PAIRS point-edge
+    pairs: all of a small polygon's edges for one point, one edge at a time
+    for a large mesh's nodes.  Memory is O(n) and each row is computed
+    independently of the others by the same arithmetic, and the minimum is
+    exact, so a single-point call returns the same bits as its row here.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -231,13 +237,24 @@ def boundary_distance_batch(domain: Domain, points: np.ndarray) -> np.ndarray:
     v = domain.vertices
     ab = np.roll(v, -1, axis=0) - v
     best = np.full(pts.shape[0], np.inf)
-    for (ax, ay), (abx, aby) in zip(v, ab):
+    step = max(1, _BLOCK_PAIRS // max(1, pts.shape[0]))
+    for start in range(0, len(v), step):
+        # One row per edge of the block, one column per point.
+        (ax, ay), (abx, aby) = (a[start:start + step].T[:, :, None] for a in (v, ab))
         apx, apy = x - ax, y - ay
-        t = (apx * abx + apy * aby) / (abx * abx + aby * aby)
+        # In place where the arithmetic allows: the same bits as
+        # (apx * abx + apy * aby) / (abx * abx + aby * aby) and
+        # apx * apx + apy * apy, with half the temporaries.
+        t = apx * abx
+        t += apy * aby
+        t /= abx * abx + aby * aby
         np.clip(t, 0.0, 1.0, out=t)
         apx -= t * abx
         apy -= t * aby
-        np.minimum(best, apx * apx + apy * apy, out=best)
+        apx *= apx
+        apy *= apy
+        apx += apy
+        np.minimum(best, apx.min(axis=0), out=best)
     return np.sqrt(best, out=best)
 
 

@@ -95,13 +95,17 @@ class Mesh:
     _edge_topology would return for triangles, when the caller already has
     them.
 
-    The mu-free pieces of P1 assembly are cached on first use: the
-    stiffness weights, K and K_II, the row sums K 1 and the lumped mass.
-    A mesh that computes its geometry from its nodes also caches its
-    (M, 3, 2) hat gradients.  A refinement of a polygon mesh (see the
-    module docstring) takes its areas from its coarse mesh, and gathers
-    its gradients and local stiffness products from there whenever they
-    are asked for, caching neither.
+    The mu-free pieces of P1 assembly are cached on first use: K_II with
+    the row sums K 1, which a Dirichlet solve reads, K, which a Neumann
+    solve reads, and the lumped mass.  The stiffness weights they are built
+    from are computed once for K_II and K 1 together and not kept; K
+    computes them again.  A mesh that computes its geometry from its nodes
+    also caches its (M, 3, 2) hat gradients.  A refinement of a polygon
+    mesh (see the module docstring) takes its areas from its coarse mesh,
+    and gathers its gradients and local stiffness products from there
+    whenever they are asked for, caching neither; gradient_field reads
+    its parent's gradients block by block (_gradient_blocks) and never
+    forms its own.
     """
 
     def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix] | None = None,
@@ -169,12 +173,16 @@ class Mesh:
 
     @cached_property
     def h_max(self) -> float:
-        e = self.nodes[self._edges_unique[:, 1]] - self.nodes[self._edges_unique[:, 0]]
-        return float(np.hypot(e[:, 0], e[:, 1]).max())
+        # Per coordinate column, with no (E, 2) row gathers: the same bits.
+        lo, hi = self._edges_unique[:, 0], self._edges_unique[:, 1]
+        dx, dy = self.nodes[hi, 0], self.nodes[hi, 1]
+        dx -= self.nodes[lo, 0]
+        dy -= self.nodes[lo, 1]
+        return float(np.hypot(dx, dy, out=dx).max())
 
     # The mu-free pieces of P1 assembly.  They depend only on the mesh, which
-    # is immutable, so each is built on first use and lives as long as the
-    # mesh does; the solver adds mu^2 times the lumped mass per solve.
+    # is immutable, so each operator is built on first use and lives as long
+    # as the mesh does; the solver adds mu^2 times the lumped mass per solve.
 
     @cached_property
     def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +202,7 @@ class Mesh:
         grads.setflags(write=False)
         return grads, self._areas
 
-    @cached_property
+    @property
     def stiffness_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The entries of the P1 stiffness matrix K, one per unique edge and
         one per node: (off, diag) with shapes (E,) and (N,), read-only.
@@ -207,17 +215,29 @@ class Mesh:
         at node i, in triangle order.  The per-triangle products come from
         _local_products; on a refinement of a polygon mesh they are copies
         of the coarsest mesh's, so the signs of off are settled there (see
-        the module docstring).
+        the module docstring).  Computed on each call and not cached: the
+        operators built from them are.
         """
         sides, corners = self._local_products()
-        off = np.bincount(self._edge_inverse, weights=sides.ravel(),
-                          minlength=self._edges_unique.shape[0])
+        # np.add.at sums in index order from zero, as np.bincount does, but
+        # reads the int32 indices in place instead of copying them to intp.
+        off = np.zeros(self._edges_unique.shape[0])
+        np.add.at(off, self._edge_inverse, sides.ravel())
         del sides
-        diag = np.bincount(self.triangles.ravel(), weights=corners.ravel(),
-                           minlength=self.n_nodes)
+        diag = np.zeros(self.n_nodes)
+        np.add.at(diag, self.triangles.ravel(), corners.ravel())
         off.setflags(write=False)
         diag.setflags(write=False)
         return off, diag
+
+    def _gradient_blocks(self) -> list:
+        """The hat gradients in row blocks of the triangles, as a list of
+        (grads, corners, scale): in block j, whose rows are
+        j * len(grads) .. (j + 1) * len(grads) - 1, the gradient of corner
+        i's hat function is scale * grads[:, corners[i]].  One block of
+        this mesh's own hat_gradients here; a refinement of a polygon mesh
+        has four blocks on its parent's (see _CHILD_CORNERS)."""
+        return [(self.hat_gradients[0], (0, 1, 2), 1.0)]
 
     def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
         """The local stiffness A_t grad(lambda_i).grad(lambda_j) of each
@@ -233,32 +253,32 @@ class Mesh:
     def stiffness(self) -> sp.csr_matrix:
         """P1 stiffness matrix K on all nodes (see stiffness_weights),
         verified to be exactly symmetric.  Its arrays are read-only."""
-        off, diag = self.stiffness_weights
-        return _symmetric_csr(self._edges_unique, off, diag)
+        return _symmetric_csr(self._edges_unique, *self.stiffness_weights,
+                              np.ones(self.n_nodes, dtype=bool))
 
-    @cached_property
+    @property
     def interior_stiffness(self) -> sp.csr_matrix:
         """The block of K on the interior nodes, in node order, built from
         the edges whose two ends are interior; equal to K[I][:, I].
         Verified to be exactly symmetric.  Its arrays are read-only."""
-        interior = ~self.boundary_node
-        off, diag = self.stiffness_weights
-        edges = self._edges_unique
-        keep = interior[edges[:, 0]] & interior[edges[:, 1]]
-        # Renumbering preserves order, so the kept edges stay sorted.
-        renumber = np.cumsum(interior, dtype=np.int32) - 1
-        return _symmetric_csr(renumber[edges[keep]], off[keep], diag[interior])
+        return self._dirichlet_stiffness[0]
 
-    @cached_property
+    @property
     def stiffness_row_sums(self) -> np.ndarray:
         """K @ 1 from the edge weights: zero up to rounding, kept for the
         Dirichlet lift.  Read-only."""
+        return self._dirichlet_stiffness[1]
+
+    @cached_property
+    def _dirichlet_stiffness(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(K_II, K 1), all of K that a Dirichlet solve reads, from one
+        evaluation of the stiffness weights, which are not kept."""
         off, diag = self.stiffness_weights
         edges = self._edges_unique
         sums = (diag + np.bincount(edges[:, 0], weights=off, minlength=self.n_nodes)
                 + np.bincount(edges[:, 1], weights=off, minlength=self.n_nodes))
         sums.setflags(write=False)
-        return sums
+        return _symmetric_csr(edges, off, diag, ~self.boundary_node), sums
 
     @cached_property
     def interior_prolongation(self) -> sp.csr_matrix:
@@ -296,6 +316,11 @@ class _SimilarRefinement(Mesh):
         grads.setflags(write=False)
         return grads, self._areas
 
+    def _gradient_blocks(self) -> list:
+        grads = self.coarse.hat_gradients[0]
+        return [(grads, corners, scale)
+                for corners, scale in zip(_CHILD_CORNERS, _CHILD_GRADIENT_SCALES)]
+
     def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
         sides, corners = self.coarse._local_products()
         # sides[_CHILD_CORNERS.T][i, j] holds side _CHILD_CORNERS[j][i] of
@@ -317,23 +342,41 @@ def _children(values: np.ndarray, scales=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
     return out
 
 
-def _symmetric_csr(edges: np.ndarray, off: np.ndarray,
-                   diag: np.ndarray) -> sp.csr_matrix:
-    """The symmetric CSR matrix with diagonal diag and off[e] at both
-    (lo, hi) and (hi, lo) of edges[e], by scipy's COO -> CSR conversion;
-    no entry is duplicated, so nothing is summed.  Exact zeros in off are
-    not stored.  Raises AssertionError unless the result is exactly
-    symmetric (_assert_symmetric); its arrays are read-only.
+def _symmetric_csr(edges: np.ndarray, off: np.ndarray, diag: np.ndarray,
+                   free: np.ndarray) -> sp.csr_matrix:
+    """The block on the nodes where free is True, renumbered in order, of
+    the symmetric matrix with diagonal diag and off[e] at both (lo, hi) and
+    (hi, lo) of edges[e], the rows of edges sorted and lo < hi.  Built by
+    scipy's COO -> CSR conversion; no entry is duplicated, so nothing is
+    summed.  Exact zeros in off are not stored.  Raises AssertionError
+    unless the result is exactly symmetric (_assert_symmetric); its arrays
+    are read-only.
     """
-    n = diag.shape[0]
+    lo, hi = edges[:, 0], edges[:, 1]
     keep = off != 0.0
-    lo, hi, nodes = edges[keep, 0], edges[keep, 1], np.arange(n, dtype=edges.dtype)
-    rows, cols = np.concatenate([lo, hi, nodes]), np.concatenate([hi, lo, nodes])
-    del lo, hi
-    k = sp.csr_matrix((np.concatenate([off[keep], off[keep], diag]), (rows, cols)),
-                      shape=(n, n))
+    keep &= free[lo]
+    keep &= free[hi]
+    renumber = np.cumsum(free, dtype=np.int32)
+    renumber -= 1
+    n, e = int(renumber[-1]) + 1, int(np.count_nonzero(keep))
+    # The COO entries are filled in place: first (hi, lo) of each kept edge,
+    # then the diagonal, then (lo, hi).  Edges sort by (lo, hi), so every
+    # row lists its columns in ascending order and the CSR needs no sort.
+    rows = np.empty(2 * e + n, dtype=np.int32)
+    cols = np.empty_like(rows)
+    data = np.empty(2 * e + n)
+    lower, diagonal, upper = slice(0, e), slice(e, e + n), slice(e + n, None)
+    rows[lower] = renumber[hi[keep]]
+    cols[lower] = renumber[lo[keep]]
+    rows[diagonal] = cols[diagonal] = np.arange(n, dtype=np.int32)
+    rows[upper], cols[upper] = cols[lower], rows[lower]
+    data[lower] = off[keep]
+    data[diagonal] = diag[free]
+    data[upper] = data[lower]
+    del keep, renumber
+    k = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     # The check's transpose is the peak of building K_II: free these first.
-    del rows, cols
+    del rows, cols, data
     _assert_symmetric(k)
     for arr in (k.data, k.indices, k.indptr):
         arr.setflags(write=False)

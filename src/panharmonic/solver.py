@@ -9,7 +9,8 @@ Neumann data dv/dn = mu enters as the boundary functional mu * integral(phi ds).
 
 Every operator is one recipe (_operator): the mu-free stiffness a mesh
 caches (mesh.Mesh) shifted by mu^2 times the lumped mass m on the free
-nodes.  A Neumann solve frees all nodes, A = K + mu^2 diag(m); a Dirichlet
+nodes, a fresh copy of its values on its own read-only index arrays.  A
+Neumann solve frees all nodes, A = K + mu^2 diag(m); a Dirichlet
 solve frees the interior ones, A_II = K_II + mu^2 diag(m_I), with
 right-hand side -(K 1 + mu^2 m)_I from the cached row sums K 1, so it never
 builds the full K or A.
@@ -162,8 +163,9 @@ def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
     K is the P1 stiffness matrix and m the lumped mass vector (one third
     of the adjacent triangle area per node), both cached on the mesh
     (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is read-only.  A is
-    a fresh matrix, exactly symmetric: K is verified to be, and the added
-    term is diagonal.  Exact zeros of K are not stored.
+    a fresh matrix on K's read-only indices and indptr, exactly symmetric:
+    K is verified to be, and the added term is diagonal.  Exact zeros of K
+    are not stored.
     """
     return _operator(mesh, mu, False), mesh.lumped_mass
 
@@ -181,8 +183,9 @@ def _operator(mesh, mu: float, dirichlet: bool) -> sp.csr_matrix:
 
 def _shift_diagonal(k: sp.csr_matrix, shift: np.ndarray) -> sp.csr_matrix:
     """k + diag(shift) for a CSR k that stores its whole diagonal: a copy
-    of k with the same structure, each diagonal entry k_ii + shift_i."""
-    a = k.copy()
+    of k's data, each diagonal entry k_ii + shift_i, on k's own read-only
+    indices and indptr, which are shared, not copied."""
+    a = sp.csr_matrix((k.data.copy(), k.indices, k.indptr), shape=k.shape)
     a.setdiag(k.diagonal() + shift)
     return a
 
@@ -302,12 +305,28 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
 
 
 def gradient_field(mesh, field: ScalarField) -> GradientField:
-    """Constant per-triangle gradient of the P1 interpolant of the field."""
+    """Constant per-triangle gradient of the P1 interpolant of the field:
+    the sum over each triangle's corners i of v_i grad(lambda_i), in corner
+    order from zero.
+
+    The gradients are read block by block (Mesh._gradient_blocks), one
+    corner column and one (m,) gather of corner values at a time.  On a
+    refinement of a polygon mesh each block is the parent's gradients
+    scaled by +-2, so neither the (M, 3, 2) gradients nor the (M, 3)
+    corner values are formed.
+    """
     if field.mesh is not mesh or field.values.shape[0] != mesh.n_nodes:
         raise ValueError("field is not defined on this mesh")
-    grads, _ = mesh.hat_gradients
-    vals = field.values[mesh.triangles]               # (M, 3)
-    vectors = np.einsum("ti,tik->tk", vals, grads)
+    vectors = np.zeros((mesh.n_triangles, 2))
+    start = 0
+    for grads, corners, scale in mesh._gradient_blocks():
+        stop = start + grads.shape[0]
+        block, tris = vectors[start:stop], mesh.triangles[start:stop]
+        for i, corner in enumerate(corners):
+            term = grads[:, corner] * scale
+            term *= field.values[tris[:, i]][:, None]
+            block += term
+        start = stop
     return GradientField(mesh, vectors)
 
 

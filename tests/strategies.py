@@ -1,10 +1,12 @@
 """Hypothesis strategies and test domains shared by the test modules."""
 
+import math
+
 import numpy as np
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from panharmonic.geometry import Polygon
+from panharmonic.geometry import Polygon, l_shape
 
 
 @st.composite
@@ -62,3 +64,10 @@ def combs(draw):
                 gap=draw(st.sampled_from([0.1, 0.2, 0.3])),
                 spine=draw(st.sampled_from([0.1, 0.2])),
                 depth=draw(st.sampled_from([0.2, 0.4, 0.6])))
+
+
+def rotated_l_shape(theta=0.7, scale=1.3) -> Polygon:
+    """The L-shape turned by theta and scaled: its right angles are no
+    longer exact in floating point, as in the bench's similarity copies."""
+    c, s = math.cos(theta), math.sin(theta)
+    return Polygon(l_shape().vertices @ (scale * np.array([[c, s], [-s, c]])))

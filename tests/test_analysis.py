@@ -21,6 +21,7 @@ from panharmonic.mesh import MeshBudgetError, triangulate
 from panharmonic.solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
                                 gradient_field, solve_dirichlet, solve_neumann)
 from panharmonic.special import DiscSolution, log_bessel_i0
+from strategies import rotated_l_shape
 
 # Sup of |n - log I0(n)/n - d| over disc nodes sits at the center, so these
 # are pure special-function values; recorded from the 40-digit oracle.
@@ -144,6 +145,20 @@ class TestConditionMargin:
         assert np.any(res.margins[decided] > 0.0)
         assert np.array_equal(res.margins[decided] >= 0.0,
                               log_form[decided] <= 0.0)
+
+    @pytest.mark.parametrize("rule", ["centroid", "min-vertex"])
+    def test_value_rules_match_corner_reference(self, rule):
+        # The values come one corner column at a time, without the (M, 3)
+        # corner array; the margins are the same bits as from it.
+        m = triangulate(rotated_l_shape(), 0.02)
+        field = solve_dirichlet(m, 20.0)
+        grads = gradient_field(m, field)
+        corners = field.values[m.triangles]
+        v = corners.mean(axis=1) if rule == "centroid" else corners.min(axis=1)
+        ref = field.mu * v - grads.magnitudes()
+        res = condition_margin(field, grads, rule)
+        assert res.margins.tobytes() == ref.tobytes()
+        assert res.min_margin == ref.min()
 
     def test_mesh_mismatch(self, unit_square):
         m1 = triangulate(unit_square, 0.3)

@@ -217,9 +217,10 @@ class TestDistance:
 
     def test_batch_memory_is_linear(self):
         # 20,000 points against 800 edges: one (n, E, 2) pass would peak
-        # near 850 MiB, while the per-edge running minimum keeps a few
-        # (n,) arrays.  Each row is computed on its own, so rows anywhere
-        # in the batch equal single-point calls bit for bit.
+        # near 850 MiB, while the running minimum over blocks of edges
+        # (one edge per block at this n) keeps a few (n,) arrays.  Each row
+        # is computed on its own, so rows anywhere in the batch equal
+        # single-point calls bit for bit.
         polygon = regular_polygon(800)
         pts = np.random.default_rng(3).uniform(-0.7, 0.7, (20_000, 2))
         tracemalloc.start()
@@ -232,6 +233,16 @@ class TestDistance:
         for row in (0, 1309, 1310, 2620, 19_999):
             single = boundary_distance_batch(polygon, pts[row:row + 1])
             assert single.tobytes() == batch[row:row + 1].tobytes()
+
+
+    def test_single_points_match_batch_rows(self):
+        # One point takes all 800 edges in one block, 5,000 points a few
+        # edges at a time; every row is the same bits either way.
+        polygon = regular_polygon(800)
+        pts = np.random.default_rng(5).uniform(-0.7, 0.7, (5_000, 2))
+        batch = boundary_distance_batch(polygon, pts)
+        singles = np.concatenate([boundary_distance_batch(polygon, p[None, :]) for p in pts])
+        assert singles.tobytes() == batch.tobytes()
 
 
 class TestContainment:

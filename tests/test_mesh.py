@@ -24,7 +24,8 @@ from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
                               _signed_areas, mesh_quality, refine_uniform,
                               save_mesh_text, triangulate)
 from panharmonic.solver import ResolutionWarning, solve_dirichlet, solve_neumann
-from strategies import comb, combs, skyline, skylines, star_polygons
+from strategies import (comb, combs, rotated_l_shape, skyline, skylines,
+                        star_polygons)
 
 
 class TestSquare:
@@ -590,20 +591,13 @@ class TestSimilarRefinement:
         return chain
 
 
-def _rotated_l_shape(theta=0.7, scale=1.3) -> Polygon:
-    """The L-shape turned by theta and scaled: its right angles are no
-    longer exact in floating point, as in the bench's similarity copies."""
-    c, s = math.cos(theta), math.sin(theta)
-    return Polygon(l_shape().vertices @ (scale * np.array([[c, s], [-s, c]])))
-
-
 class TestInheritedGeometry:
     """A uniform refinement of a polygon mesh copies its areas, hat
     gradients and local stiffness from its parent.  At every level of the
     chain they match what a fresh Mesh(nodes, triangles) computes from the
     nodes: within rounding in general, bit for bit on dyadic domains."""
 
-    ROTATED_L = _rotated_l_shape()
+    ROTATED_L = rotated_l_shape()
 
     @staticmethod
     def levels(fine):

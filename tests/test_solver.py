@@ -9,20 +9,21 @@ against extended precision in test_special).
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from panharmonic import mesh as meshing
 from panharmonic import solver
-from panharmonic.analysis import Ladder
+from panharmonic.analysis import Ladder, condition_margin
 from panharmonic.geometry import unit_disc, unit_square, l_shape
-from panharmonic.geometry import Polygon, regular_polygon
+from panharmonic.geometry import Polygon, domain_scale, regular_polygon
 from panharmonic.mesh import Mesh, triangulate, refine_uniform
 from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 ConvergenceError, ResolutionWarning,
@@ -31,7 +32,7 @@ from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 solve_dirichlet, solve_neumann,
                                 solve_spd_system)
 from panharmonic.special import bessel_i0, bessel_i1, log_bessel_i0
-from strategies import skyline, star_polygons
+from strategies import combs, rotated_l_shape, skyline, skylines, star_polygons
 
 
 def assert_same_csr(a, b):
@@ -151,6 +152,26 @@ class TestAssembly:
             k = m.stiffness
             rows = np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
             assert np.all(k.data[k.indices != rows] < 0.0)
+
+    @pytest.mark.parametrize("dirichlet", [True, False])
+    def test_per_mu_operator_shares_index_arrays(self, l_shape, dirichlet):
+        # Each mu copies only the values of the cached K or K_II; the index
+        # arrays are K's own, read-only and untouched.
+        m = triangulate(l_shape, 0.05)
+        k = m.interior_stiffness if dirichlet else m.stiffness
+        data = k.data.copy()
+        shift = np.linspace(1.0, 2.0, k.shape[0])
+        rows = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+        on_diagonal = k.indices == rows
+        expected = k.data.copy()
+        expected[on_diagonal] += shift
+        for a in (solver._operator(m, 3.0, dirichlet), solver._shift_diagonal(k, shift)):
+            assert np.shares_memory(a.indices, k.indices)
+            assert np.shares_memory(a.indptr, k.indptr)
+            assert not np.shares_memory(a.data, k.data)
+        assert a.data.tobytes() == expected.tobytes()
+        assert k.data.tobytes() == data.tobytes()
+        assert not any(arr.flags.writeable for arr in (k.data, k.indices, k.indptr))
 
 
 class TestAssemblyProperties:
@@ -548,20 +569,52 @@ class TestGradient:
     def test_refined_chain_keeps_no_gradients(self, l_shape):
         # After a solve and its gradients, no level above the coarse mesh
         # holds an (M, 3, 2) array, and the topology stays int32 / uint8.
+        # No level keeps its (E,) stiffness weights either: K_II and K 1 are
+        # all a Dirichlet solve reads.
         m = triangulate(l_shape, 0.05)
         gradient_field(m, solve_dirichlet(m, 5.0))
         levels = [m]
         while levels[-1].coarse is not None:
             levels.append(levels[-1].coarse)
         assert len(levels) > 2
-        for level in levels[:-1]:
+        assert sum("_dirichlet_stiffness" in vars(level) for level in levels) >= 2
+        for level in levels:
             cached = [a for v in vars(level).values()
-                      for a in (v if isinstance(v, tuple) else (v,))]
-            assert not any(isinstance(a, np.ndarray) and a.shape == (level.n_triangles, 3, 2)
+                      for a in (v if isinstance(v, tuple) else (v,))
+                      if isinstance(a, np.ndarray)]
+            assert not any(a.dtype == float and a.shape == level._edge_counts.shape
                            for a in cached)
+            if level.coarse is None:
+                continue
+            assert not any(a.shape == (level.n_triangles, 3, 2) for a in cached)
             for name in ("triangles", "boundary_edges", "_edges_unique", "_edge_inverse"):
                 assert getattr(level, name).dtype == np.int32
             assert level._edge_counts.dtype == np.uint8
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), combs(), star_polygons()))
+    @example(rotated_l_shape())
+    def test_refined_chain_matches_einsum(self, polygon):
+        # A refined level's gradients are read from its parent's, block by
+        # block; at every level they equal the einsum over the level's own
+        # hat_gradients.  np.array_equal, not bytes: a zero's sign is not
+        # compared, and magnitudes do not see it.
+        try:
+            fine = triangulate(polygon, 0.02 * domain_scale(polygon))
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        level, refined = fine, 0
+        while level is not None:
+            x, y = level.nodes[:, 0], level.nodes[:, 1]
+            values = np.exp(-x) * np.cos(3.0 * y) + 0.1 * x * y
+            got = gradient_field(level, ScalarField(level, 1.0, values, True, "dirichlet"))
+            ref = np.einsum("ti,tik->tk", values[level.triangles], level.hat_gradients[0])
+            assert np.array_equal(got.vectors, ref)
+            refined += isinstance(level, meshing._SimilarRefinement)
+            level = level.coarse
+        assert refined >= 1
 
     def test_mesh_mismatch_rejected(self, unit_square):
         m1 = triangulate(unit_square, 0.3)
@@ -587,3 +640,46 @@ def test_save_field_text(tmp_path, unit_square):
     x, y, v = lines[3].split()
     assert (float(x), float(y)) == tuple(m.nodes[3])
     assert float(v) == field.values[3]
+
+
+class TestMemoryPeaks:
+    """tracemalloc peaks on the L-shape refined to 262,144 triangles, as
+    multiples of what each call returns; deterministic for a given numpy.
+    Measured: interior_stiffness, its stiffness weights included, 2.90x
+    its K_II; gradient_field 2.27x its vectors; condition_margin 2.03x its
+    margins.  Fine-mesh gathers of the (M, 3, 2) gradients or the (M, 3)
+    corner values, or concatenated COO copies, break these bounds."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        dom = l_shape()
+        m = refine_uniform(triangulate(dom, 0.0125), dom)
+        assert m.n_triangles == 262_144
+        values = np.exp(-3.0 * np.hypot(m.nodes[:, 0], m.nodes[:, 1]))
+        return m, ScalarField(m, 10.0, values, True, "dirichlet")
+
+    def test_interior_stiffness(self, large):
+        m, _ = large
+        k, peak = self.peak(lambda: m.interior_stiffness)
+        assert peak <= 3.3 * sum(a.nbytes for a in (k.data, k.indices, k.indptr))
+
+    def test_gradient_field(self, large):
+        m, field = large
+        grads, peak = self.peak(lambda: gradient_field(m, field))
+        assert peak <= 3.0 * grads.vectors.nbytes
+
+    @pytest.mark.parametrize("rule", ["centroid", "min-vertex"])
+    def test_condition_margin(self, large, rule):
+        m, field = large
+        grads = gradient_field(m, field)
+        result, peak = self.peak(lambda: condition_margin(field, grads, rule))
+        assert peak <= 3.0 * result.margins.nbytes

@@ -3,9 +3,10 @@ Triangulating domains
 =====================
 
 triangulate(domain, target_h) ear-clips a polygon and flips the result to
-its constrained Delaunay triangulation (or lays a spider-web over a disc),
-then refines uniformly until the longest edge is close to target_h.  Refinement respects curved boundaries: new midpoints on the
-disc rim are pushed back out to the circle.
+its constrained Delaunay triangulation (or lays a concentric web of at most
+12 rings over a disc), then refines uniformly until the longest edge is
+close to target_h.  Refinement respects curved boundaries: new midpoints on
+the disc rim are pushed back out to the circle.
 """
 
 import numpy as np

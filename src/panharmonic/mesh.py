@@ -9,14 +9,14 @@ nonobtuse coarse mesh gives an M-matrix at every level.  A polygon whose
 sides are all axis-parallel and whose constrained Delaunay triangulation
 has an obtuse triangle gets a nonobtuse coarse mesh instead: the grid
 through its vertex coordinates, each cell cut into two right triangles.
-Discs get a structured concentric web whose boundary nodes sit exactly on
-the circle at every refinement level.
+Discs start from a concentric web of at most 12 rings, refined the same
+way but with boundary midpoints projected onto the circle: every boundary
+node lies exactly on it, and every level stays nonobtuse.
 
-Every mesh built here keeps the Mesh it was built from (Mesh.coarse) and the
-interpolation from that mesh's nodes to its own (Mesh.prolongation): the
-parent of a uniform refinement (midpoint interpolation), or, for a disc web
-with R rings, the web with ceil(R/2) rings (polar-bilinear interpolation).
-The solver's multigrid preconditioner runs over that chain of meshes, each
+Every refinement keeps the Mesh it was built from (Mesh.coarse) and the
+midpoint interpolation from its nodes (Mesh.prolongation): one chain per
+domain, nested except at a disc's projected boundary midpoints.  The
+solver's multigrid preconditioner runs over that chain of meshes, each
 level with the operators its own mesh caches.
 
 A uniform refinement of a polygon mesh computes none of its geometry.  Each
@@ -63,8 +63,10 @@ TRIANGLE_BUDGET = 2_000_000
 # is the middle child, scaled by -1/2, which negates its gradients.
 _CHILD_CORNERS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]])
 _CHILD_GRADIENT_SCALES = (2.0, 2.0, 2.0, -2.0)
-# Longest edge of the disc web is the first sector diagonal of each annulus,
-# sqrt(1 + (pi/3)^2) ~ 1.448 times the ring spacing.
+# The ring rule for discs: a web's longest edge, the first sector diagonal of
+# an annulus, is sqrt(1 + (pi/3)^2) ~ 1.448 ring spacings, so a disc needs
+# R = ceil(1.448 radius / target_h) rings.  It gets R0 2^L, the fewest at or
+# above R with a root of R0 <= 12 rings (at most 397 interior nodes).
 _DISC_EDGE_FACTOR = 1.4480
 
 
@@ -542,10 +544,8 @@ def _in_circumcircle(vertices, a, b, c, d) -> bool:
 
 
 def _disc_web(disc: Disc, rings: int) -> Mesh:
-    """The concentric web of the disc with the given number of rings, built
-    on the web with ceil(rings/2) rings down to one ring.  Ring counts are
-    odd in general, so the webs are not nested; the prolongation
-    interpolates instead (_disc_prolongation)."""
+    """The concentric web of the disc with the given number of rings: node 0
+    at the centre, then ring k of 6k nodes at radius k / rings."""
     cx, cy = disc.center
     chunks = [np.array([[cx, cy]])]
     for k in range(1, rings + 1):
@@ -570,46 +570,7 @@ def _disc_web(disc: Disc, rings: int) -> Mesh:
         up = np.stack([outer[:, :k], outer[:, 1:], inner[:, :k]], axis=2)
         down = np.stack([inner[:, 1:k], inner[:, :k - 1], outer[:, 1:k]], axis=2)
         blocks.append(np.concatenate([up, down], axis=1).reshape(-1, 3))
-    coarse_rings = (rings + 1) // 2
-    coarse = (None if rings == 1 else
-              (_disc_web(disc, coarse_rings), _disc_prolongation(rings, coarse_rings)))
-    return Mesh(nodes, np.concatenate(blocks), coarse)
-
-
-def _disc_ring_node(k: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Index of node j (taken modulo 6k) on ring k of a disc web."""
-    return np.where(k == 0, 0, 1 + 3 * k * (k - 1) + j % np.maximum(6 * k, 1))
-
-
-def _disc_prolongation(rings: int, coarse_rings: int) -> sp.csr_matrix:
-    """Polar-bilinear interpolation from the web with coarse_rings rings to
-    the web with rings rings, from ring and index arithmetic alone.
-
-    Fine ring k lies at radius k/R = (k0 + a)/Rc between coarse rings k0
-    and k0 + 1; on each of those, node j of ring k sits between coarse
-    nodes floor(j kc / k) and the next one, at linear weight b.  Each row
-    has four entries (summed where they coincide, at the centre).
-    """
-    n = 1 + 3 * rings * (rings + 1)
-    k = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
-    k = np.concatenate([[0], k])
-    j = np.arange(n) - np.where(k == 0, 0, 1 + 3 * k * (k - 1))
-    k0 = np.minimum(k * coarse_rings // rings, coarse_rings - 1)
-    a = (k * coarse_rings - k0 * rings) / rings
-    safe_k = np.maximum(k, 1)
-    cols, vals = [], []
-    for kc, radial in ((k0, 1.0 - a), (k0 + 1, a)):
-        jl = j * kc // safe_k
-        b = (j * kc - jl * safe_k) / safe_k
-        cols += [_disc_ring_node(kc, jl), _disc_ring_node(kc, jl + 1)]
-        vals += [radial * (1.0 - b), radial * b]
-    rows = np.tile(np.arange(n, dtype=np.int32), 4)
-    n_coarse = 1 + 3 * coarse_rings * (coarse_rings + 1)
-    p = sp.coo_matrix((np.concatenate(vals),
-                       (rows, np.concatenate(cols).astype(np.int32))),
-                      shape=(n, n_coarse)).tocsr()
-    p.eliminate_zeros()
-    return p
+    return Mesh(nodes, np.concatenate(blocks))
 
 
 def _grid_mesh(polygon: Polygon) -> Mesh:
@@ -658,20 +619,26 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     coarse mesh has an obtuse triangle (mesh_quality's test) and every side
     of the polygon is axis-parallel, the grid of _grid_mesh replaces it:
     every triangle is right-angled, so K is an M-matrix at every level.
-    Discs: structured concentric web with all boundary nodes exactly on
-    the circle.
+    Discs: the concentric web of at most 12 rings refined to the ring rule's
+    count (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0
+    at its centre; the budget is checked on that count before any building.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
     if target_h >= 0.5 * domain_scale(domain):
         raise ValueError("target_h must be below half the bounding-box diagonal")
     if isinstance(domain, Disc):
-        rings = max(2, math.ceil(_DISC_EDGE_FACTOR * domain.radius / target_h))
+        need = max(2, math.ceil(_DISC_EDGE_FACTOR * domain.radius / target_h))
+        levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
+        rings = math.ceil(need / 2**levels) << levels
         if 6 * rings * rings > TRIANGLE_BUDGET:
             raise MeshBudgetError(
                 f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
                 f"triangles, over the budget of {TRIANGLE_BUDGET}")
-        return _disc_web(domain, rings)
+        mesh = _disc_web(domain, rings >> levels)
+        for _ in range(levels):
+            mesh = refine_uniform(mesh, domain)
+        return mesh
 
     vertices = domain.vertices
     mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
@@ -688,10 +655,11 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
     """Split every triangle into 4 by edge midpoints.
 
     For disc domains, midpoints of boundary edges are projected onto the
-    circle so refinement never flattens the boundary.  On a polygon every
-    child is similar to its parent, and the refined mesh inherits its
-    areas, hat gradients and local stiffness from mesh (see the module
-    docstring).
+    circle so refinement never flattens the boundary (the prolongation is
+    still midpoint interpolation).  Parent nodes keep their indices.  On a
+    polygon every child is similar to its parent, and the refined mesh
+    inherits its areas, hat gradients and local stiffness from mesh (see
+    the module docstring).
     """
     if 4 * mesh.n_triangles > TRIANGLE_BUDGET:
         raise MeshBudgetError(

@@ -41,6 +41,7 @@ CG_TOLERANCE = 1e-13
 # Multigrid descends until a level has at most this many free nodes, then
 # solves that level densely.
 COARSEST_SIZE = 500
+_BLOCK_ROWS = 2**13  # Multigrid's Gershgorin row sums take this many rows at a time.
 # Boundary-layer resolution rule: solves with mu * h_max above this are
 # flagged unreliable (the layer has width ~1/mu and needs a few cells).
 RESOLUTION_LIMIT = 0.5
@@ -109,10 +110,13 @@ class Multigrid:
         self._restrictions = [p.T for p in self.prolongations]
         self.smoothers = []
         for a in self.matrices[:-1]:
-            diag = a.diagonal()
-            row_abs = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-            omega = 4.0 / (3.0 * float(np.max(row_abs / diag)))
-            self.smoothers.append(omega / diag)
+            diag, lam = a.diagonal(), 0.0
+            # No |a| copy of the level; each row is summed as over all of a.
+            for start in range(0, a.shape[0], _BLOCK_ROWS):
+                ptr = a.indptr[start:start + _BLOCK_ROWS + 1]
+                row_abs = np.add.reduceat(np.abs(a.data[ptr[0]:ptr[-1]]), ptr[:-1] - ptr[0])
+                lam = max(lam, float(np.max(row_abs / diag[start:start + _BLOCK_ROWS])))
+            self.smoothers.append(4.0 / (3.0 * lam) / diag)
         coarsest = self.matrices[-1]
         if coarsest.shape[0] <= COARSEST_SIZE:
             self._coarsest_solve = np.linalg.inv(coarsest.toarray()).__matmul__

@@ -36,8 +36,8 @@ class TestSolve:
         assert code == 0
         field_lines = (out / "field.txt").read_text().splitlines()
         mesh_lines = (out / "mesh.txt").read_text().splitlines()
-        assert len(field_lines) == 721
-        assert len(mesh_lines) == 721 + 1350
+        assert len(field_lines) == 817
+        assert len(mesh_lines) == 817 + 1536
         assert "resolution_ok=True" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, domains, tmp_path):

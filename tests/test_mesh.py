@@ -1,5 +1,5 @@
 """Triangulation: ear clipping, Lawson flips and refinement for polygons,
-a web for discs.
+a refined web for discs.
 
 Regression constants (node/triangle counts, h values) were recorded from
 the current construction; they pin determinism rather than derive from
@@ -14,12 +14,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from panharmonic.geometry import (Polygon, contains_point, domain_scale,
+from panharmonic.geometry import (Disc, Point2, Polygon, contains_point, domain_scale,
                                   unit_disc, unit_square, l_shape, regular_polygon)
-from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError,
+from panharmonic import mesh as meshing
+from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError, _disc_web,
                               _ear_clip, _edge_topology, _grid_mesh, _lawson_flip,
                               _signed_areas, mesh_quality, refine_uniform,
                               save_mesh_text, triangulate)
@@ -52,8 +54,9 @@ class TestSquare:
 class TestDiscWeb:
     def test_counts_and_reach(self, unit_disc):
         m = triangulate(unit_disc, 0.1)
-        assert (m.n_nodes, m.n_triangles) == (721, 1350)
-        assert m.h_max == pytest.approx(0.09482378723772782, rel=1e-15)
+        # The 8-ring web refined once: 16 rings.
+        assert (m.n_nodes, m.n_triangles) == (817, 1536)
+        assert m.h_max == pytest.approx(0.08899870183108555, rel=1e-15)
         # All boundary nodes exactly on the circle.
         r = np.hypot(*m.nodes[m.boundary_node].T)
         assert np.abs(r - 1.0).max() < 1e-14
@@ -66,7 +69,7 @@ class TestDiscWeb:
         assert q.min_angle > 40.0
         assert q.max_angle < 90.0 + 1e-9
         assert q.nonobtuse_fraction == 1.0
-        assert q.h_min == pytest.approx(2.0 / 30.0, rel=1e-12)
+        assert q.h_min == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_refine_projects_boundary(self, unit_disc):
         m = triangulate(unit_disc, 0.2)
@@ -374,7 +377,10 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("target_h", [0.5, 0.3, 0.1, 0.05])
     def test_disc_web(self, target_h, unit_disc):
+        # A disc chain's root is the web; 0.5 and 0.3 are roots themselves.
         m = triangulate(unit_disc, target_h)
+        while m.coarse is not None:
+            m = m.coarse
         rings = math.isqrt(m.n_triangles // 6)
         assert 6 * rings * rings == m.n_triangles
         assert np.array_equal(m.triangles, self.disc_web_reference(rings))
@@ -409,10 +415,6 @@ class TestFastPaths:
         assert np.array_equal(m.triangles, tris)
 
 
-def _disc_web_nodes(rings):
-    return 1 + 3 * rings * (rings + 1)
-
-
 class TestHierarchy:
     """The chain of coarse meshes that meshes keep for the multigrid solver."""
 
@@ -443,36 +445,38 @@ class TestHierarchy:
             bottom.triangles, _lawson_flip(l_shape.vertices, _ear_clip(l_shape.vertices)))
         assert depth == 5  # five uniform refinements above the coarse mesh
 
+    @staticmethod
+    def midpoint_prolongation(coarse):
+        """Midpoint interpolation from coarse's nodes to those of its
+        uniform refinement, whose node n + e is the midpoint of coarse edge
+        e in sorted order."""
+        _, uniq, _, _ = TestFastPaths.edge_topology_reference(coarse.triangles)
+        n, n_edges = coarse.n_nodes, uniq.shape[0]
+        rows = np.concatenate([np.arange(n), np.repeat(n + np.arange(n_edges), 2)])
+        vals = np.concatenate([np.ones(n), np.full(2 * n_edges, 0.5)])
+        cols = np.concatenate([np.arange(n), uniq.ravel()])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n + n_edges, n))
+
     @pytest.mark.parametrize("target_h", [0.5, 0.1, 0.0106, 0.00265])
     def test_disc_prolongation(self, target_h, unit_disc):
+        # A disc chain is nested like a polygon's, except at the boundary
+        # midpoints, which refinement projects onto the circle.
         m = triangulate(unit_disc, target_h)
-        rings = math.isqrt(m.n_triangles // 6)
         while m.coarse is not None:
-            coarse_rings = (rings + 1) // 2
-            p, coarse = m.prolongation, m.coarse
-            n_coarse = _disc_web_nodes(coarse_rings)
-            assert coarse.n_triangles == 6 * coarse_rings * coarse_rings
-            assert p.shape == (_disc_web_nodes(rings), n_coarse)
-            assert np.abs(np.asarray(p.sum(axis=1)).ravel() - 1.0).max() <= 1e-15
-            assert p.data.min() > 0.0
-            expected = np.zeros(n_coarse, dtype=bool)
-            expected[-6 * coarse_rings:] = True
-            assert np.array_equal(coarse.boundary_node, expected)
-            # Boundary values come from the coarse boundary alone, so the
-            # Dirichlet restriction drops nothing from them.
-            assert p[m.boundary_node][:, ~coarse.boundary_node].nnz == 0
-            rings, m = coarse_rings, coarse
-        assert rings == 1
-
-    def test_disc_prolongation_interpolates_radius(self, unit_disc):
-        # The radius is linear across rings and constant along them, so
-        # polar-bilinear interpolation reproduces it.
-        m = triangulate(unit_disc, 0.05)
-        coarse_rings = (math.isqrt(m.n_triangles // 6) + 1) // 2
-        ring = np.arange(1, coarse_rings + 1)
-        radius = np.concatenate([[0.0], np.repeat(ring, 6 * ring) / coarse_rings])
-        interp = m.prolongation @ radius
-        assert np.abs(interp - np.hypot(*m.nodes.T)).max() < 1e-14
+            coarse, p = m.coarse, m.prolongation
+            ref = self.midpoint_prolongation(coarse)
+            for got, want in ((p.indptr, ref.indptr), (p.indices, ref.indices),
+                              (p.data, ref.data)):
+                assert np.array_equal(got, want)
+            projected = m.boundary_node.copy()
+            projected[:coarse.n_nodes] = False
+            interp = p @ coarse.nodes
+            assert interp[~projected].tobytes() == m.nodes[~projected].tobytes()
+            assert np.abs(np.hypot(*m.nodes[projected].T) - 1.0).max() <= 1e-15
+            m = coarse
+        rings = math.isqrt(m.n_triangles // 6)
+        assert rings <= 12
+        assert np.array_equal(m.triangles, TestFastPaths.disc_web_reference(rings))
 
     @pytest.mark.parametrize("name", ["l_shape", "disc"])
     def test_chain_holds_no_reference_cycle(self, name):
@@ -495,6 +499,74 @@ class TestHierarchy:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+@st.composite
+def disc_chains(draw):
+    """(disc, root rings, refinements): a similarity copy of the unit disc,
+    its centre within about 14 radii of the origin as in the bench's, and a
+    web of 1 to 12 rings refined to at most 100,000 triangles."""
+    radius = draw(st.floats(1e-3, 1e3))
+    cx, cy = (radius * draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    rings = draw(st.integers(1, 12))
+    levels = draw(st.integers(0, max(k for k in range(8) if 6 * rings**2 * 4**k <= 100_000)))
+    return Disc(Point2(cx, cy), radius), rings, levels
+
+
+class TestDiscChain:
+    """A disc is meshed as a web of at most 12 rings refined uniformly, with
+    boundary midpoints projected onto the circle: one chain, as for
+    polygons.  Every level stays nonobtuse, so K is an M-matrix."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(disc_chains())
+    @example((unit_disc(), 12, 3))
+    @example((unit_disc(), 1, 7))
+    def test_refined_webs_nonobtuse_on_circle(self, chain):
+        disc, rings, levels = chain
+        centre = np.array(disc.center)
+        m = _disc_web(disc, rings)
+        for level in range(levels + 1):
+            assert mesh_quality(m).max_angle <= 90.0 + 1e-9
+            off, _ = m.stiffness_weights
+            assert off.max() <= 1e-12 * np.abs(m.stiffness.data).max()
+            # Each coordinate is rounded relative to its own magnitude, so
+            # the radius is exact to rounding of |centre| + radius: relative
+            # to the radius for a disc at the origin.
+            r = np.hypot(*(m.nodes[m.boundary_node] - centre).T)
+            assert np.abs(r - disc.radius).max() <= 1e-15 * (disc.radius + np.hypot(*centre))
+            assert m.nodes[0].tobytes() == centre.tobytes()
+            if level < levels:
+                m = refine_uniform(m, disc)
+        assert m.n_triangles == 6 * (rings << levels) ** 2
+
+    def test_ring_rule(self, unit_disc):
+        # The fewest rings of the form R0 2^L, R0 <= 12, at or above the
+        # 1.448 / target_h that the web's longest edge needs, from the
+        # largest root.
+        for target_h in [0.9 * 0.6**k for k in range(12)] + [0.00265]:
+            need = max(2, math.ceil(1.448 / target_h))
+            m = triangulate(unit_disc, target_h)
+            root, depth = m, 0
+            while root.coarse is not None:
+                root, depth = root.coarse, depth + 1
+            rings = math.isqrt(m.n_triangles // 6)
+            assert rings == min(r << k for r in range(1, 13) for k in range(12)
+                                if r << k >= need)
+            assert 6 * (rings - need) < need
+            root_rings = math.isqrt(root.n_triangles // 6)
+            assert root_rings <= 12 and rings == root_rings << depth
+            assert depth == 0 or math.ceil(need / 2 ** (depth - 1)) > 12
+            assert m.h_max <= target_h
+
+    def test_budget_checked_before_building(self, unit_disc, monkeypatch):
+        calls = []
+        for name in ("_disc_web", "refine_uniform"):
+            monkeypatch.setattr(meshing, name,
+                                lambda *args, name=name: calls.append(name))
+        with pytest.raises(MeshBudgetError):
+            triangulate(unit_disc, 1e-4)
+        assert calls == []
 
 
 class TestLawsonFlip:

@@ -647,8 +647,10 @@ class TestMemoryPeaks:
     multiples of what each call returns; deterministic for a given numpy.
     Measured: interior_stiffness, its stiffness weights included, 2.90x
     its K_II; gradient_field 2.27x its vectors; condition_margin 2.03x its
-    margins.  Fine-mesh gathers of the (M, 3, 2) gradients or the (M, 3)
-    corner values, or concatenated COO copies, break these bounds."""
+    margins; the smoothers of a two-level Multigrid 2.56x its fine
+    smoother.  Fine-mesh gathers of the (M, 3, 2) gradients or the (M, 3)
+    corner values, concatenated COO copies, or an |A| copy of the fine
+    operator break these bounds."""
 
     @staticmethod
     def peak(call):
@@ -676,6 +678,17 @@ class TestMemoryPeaks:
         m, field = large
         grads, peak = self.peak(lambda: gradient_field(m, field))
         assert peak <= 3.0 * grads.vectors.nbytes
+
+    def test_multigrid_smoothers(self, large):
+        # The fine level's diagonal and smoother, and the Gershgorin row
+        # sums of a block of rows; the coarse level is too large for a
+        # dense solve and is scaled by its diagonal.
+        m, _ = large
+        cycle = solver._multigrid(m, 10.0, True)
+        levels = [(cycle.matrices[0], None), (cycle.matrices[1], cycle.prolongations[0])]
+        assert levels[1][0].shape[0] > solver.COARSEST_SIZE
+        mg, peak = self.peak(lambda: solver.Multigrid(levels))
+        assert peak <= 3.0 * mg.smoothers[0].nbytes
 
     @pytest.mark.parametrize("rule", ["centroid", "min-vertex"])
     def test_condition_margin(self, large, rule):

@@ -16,7 +16,7 @@ C that the supplied fields allow.
 
 import numpy as np
 
-from panharmonic import (DiscSolution, Point2, ProbeDisc, ScalarField,
+from panharmonic import (Disc, DiscSolution, Point2, ScalarField,
                          bessel_i0, canonical_corner_probe,
                          decay_envelope_fit, distance_to_boundary, l_shape,
                          superharmonicity_probe, triangulate, unit_disc,
@@ -42,7 +42,7 @@ probes = []
 for _ in range(20):
     xy = 0.1 + 0.8 * rng.random(2)
     d = distance_to_boundary(square, xy)
-    probes.append(ProbeDisc(Point2(float(xy[0]), float(xy[1])), d / 2.0))
+    probes.append(Disc(Point2(float(xy[0]), float(xy[1])), d / 2.0))
 results = superharmonicity_probe(square, probes)
 gaps = [r.mean - r.center_value for r in results]
 print(f"\nsquare, 20 random probes: violations = {sum(r.violated for r in results)}")

@@ -7,7 +7,7 @@ through -log(v)/mu, and evaluates the elementwise gradient bound
 certificate for the domain.
 """
 
-from .geometry import (Disc, Domain, Point2, Polygon, ProbeDisc,
+from .geometry import (Disc, Domain, Point2, Polygon,
                        contains_point, disc_mean_distance,
                        distance_to_boundary, domain_from_dict, domain_to_dict,
                        dump_domain, is_convex_polygon, l_shape, load_domain,
@@ -30,7 +30,7 @@ from .analysis import (ConditionResult, ConvexityReport, DecayEnvelope,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Disc", "Domain", "Point2", "Polygon", "ProbeDisc", "contains_point",
+    "Disc", "Domain", "Point2", "Polygon", "contains_point",
     "disc_mean_distance", "distance_to_boundary", "domain_from_dict",
     "domain_to_dict", "dump_domain", "is_convex_polygon", "l_shape",
     "load_domain", "regular_polygon", "unit_disc", "unit_square",

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (GEOMETRIC_TOL, Domain, Point2, Polygon, ProbeDisc,
+from .geometry import (GEOMETRIC_TOL, Disc, Domain, Point2, Polygon,
                        boundary_distance_batch, disc_mean_distance,
                        distance_to_boundary, domain_scale, domain_to_dict,
                        is_convex_polygon, probe_fits)
@@ -85,7 +85,7 @@ class DecayEnvelope:
 
 
 class ProbeResult(NamedTuple):
-    probe: ProbeDisc
+    probe: Disc
     mean: float
     center_value: float
     violated: bool
@@ -179,7 +179,7 @@ def condition_margin(field: ScalarField, grads: GradientField,
 
 
 def canonical_corner_probe(polygon: Polygon, vertex_index: int,
-                           corner_scale: float) -> ProbeDisc:
+                           corner_scale: float) -> Disc:
     """The textbook probe for a reflex corner.
 
     With r = corner_scale and unit vectors e1, e2 along the two boundary
@@ -203,7 +203,7 @@ def canonical_corner_probe(polygon: Polygon, vertex_index: int,
     if min(l1, l2) < corner_scale - tol:
         raise ValueError("corner_scale exceeds an adjacent edge length")
     center = corner - 0.25 * corner_scale * (e1 / l1 + e2 / l2)
-    probe = ProbeDisc(Point2(*center), corner_scale / 8.0)
+    probe = Disc(Point2(*center), corner_scale / 8.0)
     if not probe_fits(polygon, probe):
         raise ValueError("canonical probe does not fit inside the polygon")
     return probe
@@ -306,8 +306,8 @@ def convexity_sweep(domain: Domain, mu_list, target_h: float,
     swept prefix only, and CONDITION_FAILS means "no certificate at the
     tested mu", never a proof of nonconvexity.
     """
-    return _sweep(Ladder(domain, triangulate(domain, target_h), mu_list),
-                  value_rule)
+    mus = Ladder.check_mu_list(mu_list)
+    return _sweep(Ladder(domain, triangulate(domain, target_h), mus), value_rule)
 
 
 def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:

@@ -89,17 +89,13 @@ def _load_domain(path: str):
     try:
         return geometry.load_domain(path)
     except FileNotFoundError:
-        raise _ConfigError(f"domain file not found: {path}")
+        raise ValueError(f"domain file not found: {path}")
     except json.JSONDecodeError as e:
-        raise _ConfigError(
+        raise ValueError(
             f"domain file {path} is not valid JSON "
             f"(line {e.lineno}, column {e.colno}: {e.msg})")
     except (ValueError, TypeError, KeyError) as e:
-        raise _ConfigError(f"domain file {path}: {e}")
-
-
-class _ConfigError(Exception):
-    pass
+        raise ValueError(f"domain file {path}: {e}")
 
 
 def _initial_mesh(args, mu_max: float, domain):
@@ -117,8 +113,8 @@ def _initial_mesh(args, mu_max: float, domain):
     try:
         h = float(args.target_h)
     except ValueError:
-        raise _ConfigError(f"--target-h must be a number or 'auto', "
-                           f"got {args.target_h!r}")
+        raise ValueError(f"--target-h must be a number or 'auto', "
+                         f"got {args.target_h!r}")
     return meshing.triangulate(domain, h)
 
 
@@ -155,7 +151,7 @@ def _cmd_solve(args) -> int:
 def _cmd_varadhan(args) -> int:
     domain = _load_domain(args.domain)
     if not (0.0 < args.rho < 0.5):
-        raise _ConfigError("--rho must lie in (0, 1/2)")
+        raise ValueError("--rho must lie in (0, 1/2)")
     ladder = _ladder(args, domain, args.mu or [])
     rows = []
     for mu, m in ladder:
@@ -206,7 +202,7 @@ def _cmd_check_convexity(args) -> int:
 def _cmd_probe_superharmonic(args) -> int:
     domain = _load_domain(args.domain)
     if not (0.0 < args.corner_scale <= 1.0):
-        raise _ConfigError("--corner-scale must lie in (0, 1]")
+        raise ValueError("--corner-scale must lie in (0, 1]")
     probes = []
     if isinstance(domain, geometry.Polygon):
         v = domain.vertices
@@ -322,9 +318,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
     except (meshing.MeshBudgetError, solver.ConvergenceError,
             analysis.NonpositiveFieldError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,11 +4,11 @@ A domain is either a simple polygon (vertices stored counterclockwise) or a
 disc.  Both support containment tests, the exact Euclidean distance to the
 boundary curve (the reference every discrete distance estimate in this
 package is judged against), and deterministic disc averages of that distance.
-Every distance to a polygon's boundary, of one point or of many, comes from
-one kernel, boundary_distance_batch.  Every orientation decision (whether a
-polygon is simple, which vertices are reflex, hence whether it is convex,
-and which corners mesh's ear clipping cuts) comes from one turn test,
-_orient, evaluated on arrays.
+Every boundary distance, of a polygon or a disc, of one point or of many,
+comes from one kernel, boundary_distance_batch.  Every orientation decision
+(whether a polygon is simple, which vertices are reflex, hence whether it is
+convex, and which corners mesh's ear clipping cuts) comes from one turn
+test, _orient, evaluated on arrays.
 
 Geometric tolerances are expressed relative to the bounding-box diagonal so
 that all predicates are scale-free.
@@ -172,6 +172,10 @@ def _crossing_parity(v: np.ndarray, p: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Disc:
+    """A domain, or a probe over which boundary distance is averaged.  A
+    probe's closure must lie inside the probed domain; disc_mean_distance
+    and the superharmonicity pipeline verify that before integrating."""
+
     center: Point2
     radius: float
 
@@ -186,25 +190,6 @@ class Disc:
 
 
 Domain = Union[Polygon, Disc]
-
-
-@dataclass(frozen=True)
-class ProbeDisc:
-    """A small disc over which boundary distance is averaged.
-
-    Its closure must lie inside the probed domain; disc_mean_distance and
-    the superharmonicity pipeline verify that before integrating.
-    """
-
-    center: Point2
-    radius: float
-
-    def __post_init__(self):
-        c = Point2(*(float(x) for x in self.center))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("probe radius must be positive and finite")
 
 
 def domain_scale(domain: Domain) -> float:
@@ -288,14 +273,12 @@ def distance_to_boundary(domain: Domain, p) -> float:
     """Minimum Euclidean distance from p to the domain boundary.
 
     Defined for points of the closed domain; points strictly outside are
-    rejected.  The result is >= 0 and vanishes exactly on the boundary.
+    rejected.  The result is >= 0, vanishes exactly on the boundary and is
+    p's row of boundary_distance_batch, bit for bit.
     """
     p, d, band = _one_point(domain, p)
     if d > band and not _inside(domain, p):
         raise ValueError("point lies outside the domain")
-    if isinstance(domain, Disc):
-        s = math.hypot(p[0] - domain.center.x1, p[1] - domain.center.x2)
-        return max(domain.radius - s, 0.0)
     return d
 
 
@@ -305,13 +288,13 @@ def is_convex_polygon(domain: Domain) -> bool:
     return isinstance(domain, Disc) or not domain.reflex_vertices()
 
 
-def probe_fits(domain: Domain, probe: ProbeDisc) -> bool:
+def probe_fits(domain: Domain, probe: Disc) -> bool:
     """True iff the probe's closed disc lies inside the domain."""
     c, d, band = _one_point(domain, probe.center)
     return d > band and _inside(domain, c) and d >= probe.radius - band
 
 
-def disc_mean_distance(domain: Domain, probe: ProbeDisc,
+def disc_mean_distance(domain: Domain, probe: Disc,
                        radial_order: int = 16, angular_order: int = 64) -> float:
     """Mean of the boundary distance over the probe disc.
 

@@ -117,11 +117,13 @@ class Multigrid:
                 row_abs = np.add.reduceat(np.abs(a.data[ptr[0]:ptr[-1]]), ptr[:-1] - ptr[0])
                 lam = max(lam, float(np.max(row_abs / diag[start:start + _BLOCK_ROWS])))
             self.smoothers.append(4.0 / (3.0 * lam) / diag)
+        # Held as an attribute: a bound method as its only owner would let
+        # NumPy write a product into the scale in place (temporary elision).
         coarsest = self.matrices[-1]
         if coarsest.shape[0] <= COARSEST_SIZE:
-            self._coarsest_solve = np.linalg.inv(coarsest.toarray()).__matmul__
+            self._coarsest = np.linalg.inv(coarsest.toarray())
         else:
-            self._coarsest_solve = (1.0 / coarsest.diagonal()).__mul__
+            self._coarsest = 1.0 / coarsest.diagonal()
 
     @property
     def n_levels(self) -> int:
@@ -139,7 +141,7 @@ class Multigrid:
             defect = a @ x
             np.subtract(r, defect, out=defect)
             r = restrict @ defect
-        x = self._coarsest_solve(r)
+        x = self._coarsest @ r if self._coarsest.ndim == 2 else self._coarsest * r
         for level in reversed(range(len(self.smoothers))):
             a, smooth = self.matrices[level], self.smoothers[level]
             x = self.prolongations[level] @ x

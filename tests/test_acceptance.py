@@ -26,8 +26,8 @@ from panharmonic.analysis import (
     write_report_json,
 )
 from panharmonic.geometry import (
+    Disc,
     Point2,
-    ProbeDisc,
     boundary_distance_batch,
     distance_to_boundary,
     l_shape,
@@ -274,7 +274,7 @@ def test_criterion_08_superharmonicity_probes():
     for _ in range(20):
         xy = 0.1 + 0.8 * rng.random(2)
         d = distance_to_boundary(square, xy)
-        probes.append(ProbeDisc(Point2(float(xy[0]), float(xy[1])), d / 2.0))
+        probes.append(Disc(Point2(float(xy[0]), float(xy[1])), d / 2.0))
     assert not any(r.violated for r in superharmonicity_probe(square, probes))
 
 

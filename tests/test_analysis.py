@@ -15,7 +15,7 @@ from panharmonic.analysis import (ConditionResult, DecayEnvelope, Ladder,
                                   superharmonicity_probe, varadhan_error,
                                   varadhan_estimate, write_margins_csv,
                                   write_report_json)
-from panharmonic.geometry import (Point2, Polygon, ProbeDisc,
+from panharmonic.geometry import (Disc, Point2, Polygon,
                                   distance_to_boundary, unit_disc)
 from panharmonic.mesh import MeshBudgetError, triangulate
 from panharmonic.solver import (RESOLUTION_LIMIT, GradientField, ScalarField,
@@ -205,9 +205,17 @@ class TestSuperharmonicity:
         assert res.violated
         assert res.mean - res.center_value == pytest.approx(0.004443, abs=2e-4)
 
+    def test_corner_probe_is_a_disc(self, l_shape):
+        # A probe is a Disc, so a non-finite centre is refused when a probe
+        # is built, not at its first use.
+        probe = canonical_corner_probe(l_shape, 3, 0.8)
+        assert type(probe) is Disc
+        with pytest.raises(ValueError, match="center must be finite"):
+            type(probe)(Point2(math.nan, 0.5), probe.radius)
+
     def test_convex_no_violation(self, unit_disc):
         res = superharmonicity_probe(
-            unit_disc, [ProbeDisc(Point2(0.0, 0.0), 0.5)])[0]
+            unit_disc, [Disc(Point2(0.0, 0.0), 0.5)])[0]
         assert not res.violated
         assert res.mean == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert res.center_value == 1.0
@@ -253,9 +261,11 @@ class TestSweep:
         assert any("centroid" in n for n in report.notes)
 
     def test_mu_list_validation(self, unit_disc, monkeypatch):
-        solves = []
+        solves, meshed = [], []
         monkeypatch.setattr(analysis, "solve_dirichlet",
                             lambda *args: solves.append(args))
+        monkeypatch.setattr(analysis, "triangulate",
+                            lambda *args: meshed.append(args))
         first = triangulate(unit_disc, 0.3)
         for bad in ([], [2.0, 1.0], [-1.0], [1.0, 1.0], [1.0, math.inf],
                     [1.0, math.nan]):
@@ -263,7 +273,7 @@ class TestSweep:
                 convexity_sweep(unit_disc, bad, 0.3)
             with pytest.raises(ValueError):
                 Ladder(unit_disc, first, bad)
-        assert solves == []
+        assert solves == [] and meshed == []
         mus = Ladder(unit_disc, first, [1, np.float32(2.0)]).mu_list
         assert mus == [1.0, 2.0] and all(type(m) is float for m in mus)
 

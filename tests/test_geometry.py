@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from panharmonic.geometry import (Disc, Point2, Polygon, ProbeDisc,
+from panharmonic.geometry import (Disc, Point2, Polygon,
                                   _crossing_parity, _shoelace_twice,
                                   boundary_distance_batch,
                                   contains_point,
@@ -244,6 +244,16 @@ class TestDistance:
         singles = np.concatenate([boundary_distance_batch(polygon, p[None, :]) for p in pts])
         assert singles.tobytes() == batch.tobytes()
 
+    def test_disc_single_points_match_batch_rows(self):
+        # distance_to_boundary on a disc off the origin returns the bits of
+        # its point's batch row, as on a polygon.
+        disc = Disc(Point2(0.3, -1.7), 2.5)
+        rng = np.random.default_rng(6)
+        r, theta = 2.4 * np.sqrt(rng.random(5_000)), 2 * math.pi * rng.random(5_000)
+        pts = np.column_stack([0.3 + r * np.cos(theta), -1.7 + r * np.sin(theta)])
+        singles = np.array([distance_to_boundary(disc, p) for p in pts])
+        assert singles.tobytes() == boundary_distance_batch(disc, pts).tobytes()
+
 
 class TestContainment:
     def test_open_domain(self, unit_square):
@@ -347,18 +357,18 @@ class TestPolygonInvariants:
 
 class TestProbes:
     def test_probe_fits(self, l_shape):
-        assert probe_fits(l_shape, ProbeDisc(Point2(0.5, 0.5), 0.3))
-        assert not probe_fits(l_shape, ProbeDisc(Point2(0.5, 0.5), 0.6))
-        assert not probe_fits(l_shape, ProbeDisc(Point2(1.5, 1.5), 0.1))
+        assert probe_fits(l_shape, Disc(Point2(0.5, 0.5), 0.3))
+        assert not probe_fits(l_shape, Disc(Point2(0.5, 0.5), 0.6))
+        assert not probe_fits(l_shape, Disc(Point2(1.5, 1.5), 0.1))
 
     def test_centered_disc_mean_closed_form(self, unit_disc):
         # Mean of (1 - |x|) over a centered probe of radius rho: 1 - 2 rho/3.
         for rho in (0.2, 0.5, 0.9):
-            got = disc_mean_distance(unit_disc, ProbeDisc(Point2(0.0, 0.0), rho))
+            got = disc_mean_distance(unit_disc, Disc(Point2(0.0, 0.0), rho))
             assert got == pytest.approx(1.0 - 2.0 * rho / 3.0, rel=1e-12)
 
     def test_mean_against_monte_carlo(self, unit_square):
-        probe = ProbeDisc(Point2(0.3, 0.45), 0.2)
+        probe = Disc(Point2(0.3, 0.45), 0.2)
         rng = np.random.default_rng(1905)
         n = 1_000_000
         r = probe.radius * np.sqrt(rng.random(n))
@@ -370,7 +380,7 @@ class TestProbes:
         assert got == pytest.approx(mc, abs=5e-4)
 
     def test_quadrature_order_converges(self, l_shape):
-        probe = ProbeDisc(Point2(0.8, 0.8), 0.1)
+        probe = Disc(Point2(0.8, 0.8), 0.1)
         coarse = disc_mean_distance(l_shape, probe, radial_order=4,
                                     angular_order=8)
         fine = disc_mean_distance(l_shape, probe, radial_order=48,

@@ -226,6 +226,32 @@ class TestConjugateGradient:
             solve_spd_system(SpdSystem(
                 a, np.random.default_rng(5).standard_normal(n)), 1e-12)
 
+    @staticmethod
+    def tridiagonal(n):
+        return sp.diags([-np.ones(n - 1), np.full(n, 4.0), -np.ones(n - 1)],
+                        [-1, 0, 1], format="csr")
+
+    def test_single_level_cycle_is_repeatable(self):
+        # At 32,768 unknowns the diagonal scale is large enough (256 KiB)
+        # for NumPy to reuse an unshared operand in place; the cycle must
+        # not write into its own scale.
+        cycle = solver.Multigrid([(self.tridiagonal(2**15), None)])
+        r = np.random.default_rng(8).standard_normal(2**15)
+        assert cycle(r).tobytes() == cycle(r).tobytes()
+
+    def test_single_level_solves_match_direct_solve(self):
+        from scipy.sparse.linalg import spsolve
+        a = self.tridiagonal(2**15)
+        b = np.random.default_rng(9).standard_normal(2**15)
+        got = solve_spd_system(SpdSystem(a, b), 1e-12)
+        ref = spsolve(a.tocsc(), b)
+        assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
+        # A 120-ring web: 42,841 interior nodes and no coarse mesh.
+        m = meshing._disc_web(unit_disc(), 120)
+        ref = TestMultigrid.direct_dirichlet(m, 10.0)
+        got = solve_dirichlet(m, 10.0).values
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
     def test_tolerance_validation(self):
         system = SpdSystem(sp.eye(1, format="csr"), np.ones(1))
         for bad in (0.0, -1e-8, 2e-4):

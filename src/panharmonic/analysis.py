@@ -261,21 +261,15 @@ def decay_envelope_fit(fields, domain: Domain, rho: float) -> DecayEnvelope:
 
 class Ladder:
     """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
-    mesh refined until mu * h_max <= RESOLUTION_LIMIT.  At the first mu the
-    triangle budget cannot resolve, iteration stops; stopped_at is then that
-    mu, and mesh the finest mesh that fit.  The constructor checks mu_list
-    with check_mu_list."""
+    mesh refined until mu * h_max <= RESOLUTION_LIMIT.  The chain starts at
+    triangulate(domain, target_h), or when target_h is None at
+    RESOLUTION_LIMIT / mu_list[0], the coarsest mesh the rule accepts for
+    the smallest mu.  At the first mu the triangle budget cannot resolve,
+    iteration stops; stopped_at is then that mu, and mesh the finest mesh
+    that fit.  The constructor checks mu_list (ValueError unless it is
+    nonempty, finite, positive and strictly ascending) before it meshes."""
 
-    def __init__(self, domain: Domain, first_mesh, mu_list):
-        self.domain = domain
-        self.mesh = first_mesh
-        self.mu_list = self.check_mu_list(mu_list)
-        self.stopped_at: Optional[float] = None
-
-    @staticmethod
-    def check_mu_list(mu_list) -> list[float]:
-        """mu_list as floats; ValueError unless it is nonempty, finite,
-        positive and strictly ascending."""
+    def __init__(self, domain: Domain, mu_list, target_h: Optional[float] = None):
         mus = [float(m) for m in mu_list]
         if not mus:
             raise ValueError("need at least one mu value")
@@ -283,7 +277,12 @@ class Ladder:
             raise ValueError(f"mu values must be positive and finite, got {mus}")
         if any(b <= a for a, b in zip(mus, mus[1:])):
             raise ValueError(f"mu values must be strictly ascending, got {mus}")
-        return mus
+        if target_h is None:
+            target_h = RESOLUTION_LIMIT / mus[0]
+        self.domain = domain
+        self.mu_list = mus
+        self.mesh = triangulate(domain, target_h)
+        self.stopped_at: Optional[float] = None
 
     def __iter__(self):
         for mu in self.mu_list:
@@ -296,22 +295,17 @@ class Ladder:
             yield mu, self.mesh
 
 
-def convexity_sweep(domain: Domain, mu_list, target_h: float,
+def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
                     value_rule: str = "centroid") -> ConvexityReport:
     """Run the condition check over an ascending sweep of mu.
 
-    The meshes come from a Ladder started at triangulate(domain, target_h),
-    so every result's resolution_ok holds; if the triangle budget stops the
-    refinement, the sweep truncates with a note.  The verdict covers the
-    swept prefix only, and CONDITION_FAILS means "no certificate at the
-    tested mu", never a proof of nonconvexity.
+    The meshes come from Ladder(domain, mu_list, target_h), so every
+    result's resolution_ok holds; if the triangle budget stops the
+    refinement, the sweep truncates with a note, and report.mu_list is the
+    swept prefix.  The verdict covers that prefix only, and CONDITION_FAILS
+    means "no certificate at the tested mu", never a proof of nonconvexity.
     """
-    mus = Ladder.check_mu_list(mu_list)
-    return _sweep(Ladder(domain, triangulate(domain, target_h), mus), value_rule)
-
-
-def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:
-    """convexity_sweep over a ready ladder."""
+    ladder = Ladder(domain, mu_list, target_h)
     notes = [
         "one-directional check: nonnegative margins at the tested mu "
         "support convexity; a negative margin withholds the certificate "
@@ -324,7 +318,7 @@ def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:
         field = solve_dirichlet(mesh, mu)
         grads = gradient_field(mesh, field)
         cond_results.append(condition_margin(field, grads, value_rule))
-        recovery, note = solved_distance_recovery(field, ladder.domain)
+        recovery, note = solved_distance_recovery(field, domain)
         var_results.append(recovery)
         if note:
             notes.append(note)
@@ -342,12 +336,12 @@ def _sweep(ladder: Ladder, value_rule: str) -> ConvexityReport:
     largest = cond_results[-1].mu
     notes.append(f"largest resolution-verified mu: {largest:g}")
     return ConvexityReport(
-        domain_summary=domain_to_dict(ladder.domain),
+        domain_summary=domain_to_dict(domain),
         mu_list=tuple(r.mu for r in cond_results),
         condition_results=tuple(cond_results),
         varadhan_results=tuple(var_results),
         verdict=verdict,
-        ground_truth_convex=is_convex_polygon(ladder.domain),
+        ground_truth_convex=is_convex_polygon(domain),
         largest_verified_mu=largest,
         notes=tuple(notes),
     )

@@ -8,10 +8,11 @@ Subcommands:
 * probe-superharmonic disc-average probes at reflex corners (CSV)
 * validate            built-in analytic cross-checks, pass/fail per line
 
-Every command that solves (solve, varadhan, check-convexity) checks its mu
-list and walks one analysis.Ladder from the first mesh, so each field is
-solved on a mesh that resolves it.  At the first mu the triangle budget
-cannot resolve, the command keeps what completed and exits 1.
+Every command that solves (solve, varadhan, check-convexity) walks one
+analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
+0.5/mu_min) and refines as mu climbs, so each field is solved on a mesh
+that resolves it.  At the first mu the triangle budget cannot resolve, the
+command keeps what completed and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, action="append", metavar="MU",
                        help="mu value (repeatable, ascending)")
         p.add_argument("--target-h", default="auto", metavar="H",
-                       help="mesh edge target, or 'auto' (0.5/mu_max)")
+                       help="mesh edge target, or 'auto' (0.5/mu_min)")
 
     p = sub.add_parser("solve", help="solve one field and dump it")
     add_domain(p)
@@ -98,31 +99,15 @@ def _load_domain(path: str):
         raise ValueError(f"domain file {path}: {e}")
 
 
-def _initial_mesh(args, mu_max: float, domain):
-    """The starting mesh: triangulated at --target-h, or for 'auto' at
-    RESOLUTION_LIMIT / mu_max, coarsened until it fits the budget."""
+def _target_h(args):
+    """The --target-h value: None for 'auto', else the number."""
     if args.target_h == "auto":
-        h = solver.RESOLUTION_LIMIT / mu_max
-        for _ in range(8):
-            try:
-                return meshing.triangulate(domain, h)
-            except meshing.MeshBudgetError:
-                h *= 2.0
-        raise meshing.MeshBudgetError(
-            "no mesh within the triangle budget even after coarsening")
+        return None
     try:
-        h = float(args.target_h)
+        return float(args.target_h)
     except ValueError:
         raise ValueError(f"--target-h must be a number or 'auto', "
                          f"got {args.target_h!r}")
-    return meshing.triangulate(domain, h)
-
-
-def _ladder(args, domain, mus) -> analysis.Ladder:
-    """The Ladder of mus from the initial mesh; mus is checked first, so a
-    bad list builds no mesh."""
-    mus = analysis.Ladder.check_mu_list(mus)
-    return analysis.Ladder(domain, _initial_mesh(args, mus[-1], domain), mus)
 
 
 def _out_dir(args) -> Path:
@@ -135,7 +120,7 @@ def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
     solve = solver.solve_neumann if args.neumann else solver.solve_dirichlet
     # A one-step ladder: it yields the resolved mesh or stops on the budget.
-    for mu, m in _ladder(args, domain, [args.mu]):
+    for mu, m in analysis.Ladder(domain, [args.mu], _target_h(args)):
         field = solve(m, mu)
         out = _out_dir(args)
         solver.save_field_text(field, out / "field.txt")
@@ -152,7 +137,7 @@ def _cmd_varadhan(args) -> int:
     domain = _load_domain(args.domain)
     if not (0.0 < args.rho < 0.5):
         raise ValueError("--rho must lie in (0, 1/2)")
-    ladder = _ladder(args, domain, args.mu or [])
+    ladder = analysis.Ladder(domain, args.mu or [], _target_h(args))
     rows = []
     for mu, m in ladder:
         if args.neumann:
@@ -185,14 +170,15 @@ def _cmd_varadhan(args) -> int:
 
 def _cmd_check_convexity(args) -> int:
     domain = _load_domain(args.domain)
-    ladder = _ladder(args, domain, args.mu or [])
-    report = analysis._sweep(ladder, args.value_rule)
+    mus = args.mu or []
+    report = analysis.convexity_sweep(domain, mus, _target_h(args),
+                                      args.value_rule)
     out = _out_dir(args)
     analysis.write_report_json(report, out / "report.json")
     analysis.write_margins_csv(report, out / "margins.csv")
     print(f"verdict: {report.verdict} "
           f"(largest verified mu: {report.largest_verified_mu})")
-    if ladder.stopped_at is not None:
+    if len(report.mu_list) < len(mus):
         print(f"error: sweep truncated by the triangle budget after "
               f"mu={report.mu_list[-1]:g}; see report notes", file=sys.stderr)
         return _EXIT_PIPELINE

@@ -66,7 +66,8 @@ _CHILD_GRADIENT_SCALES = (2.0, 2.0, 2.0, -2.0)
 # The ring rule for discs: a web's longest edge, the first sector diagonal of
 # an annulus, is sqrt(1 + (pi/3)^2) ~ 1.448 ring spacings, so a disc needs
 # R = ceil(1.448 radius / target_h) rings.  It gets R0 2^L, the fewest at or
-# above R with a root of R0 <= 12 rings (at most 397 interior nodes).
+# above R with a root of R0 <= 12 rings (at most 397 interior nodes); over
+# the budget, the most at that L that fit, if they keep 1.5 target_h.
 _DISC_EDGE_FACTOR = 1.4480
 
 
@@ -622,6 +623,8 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     Discs: the concentric web of at most 12 rings refined to the ring rule's
     count (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0
     at its centre; the budget is checked on that count before any building.
+    A count over the budget falls back to the most rings at the same depth
+    that fit, when their longest edge still meets the 1.5 * target_h bound.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
@@ -632,9 +635,12 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
         levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
         rings = math.ceil(need / 2**levels) << levels
         if 6 * rings * rings > TRIANGLE_BUDGET:
-            raise MeshBudgetError(
-                f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
-                f"triangles, over the budget of {TRIANGLE_BUDGET}")
+            fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
+            if _DISC_EDGE_FACTOR * domain.radius > 1.5 * target_h * fits:
+                raise MeshBudgetError(
+                    f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
+                    f"triangles, over the budget of {TRIANGLE_BUDGET}")
+            rings = fits
         mesh = _disc_web(domain, rings >> levels)
         for _ in range(levels):
             mesh = refine_uniform(mesh, domain)

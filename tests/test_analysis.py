@@ -266,15 +266,14 @@ class TestSweep:
                             lambda *args: solves.append(args))
         monkeypatch.setattr(analysis, "triangulate",
                             lambda *args: meshed.append(args))
-        first = triangulate(unit_disc, 0.3)
         for bad in ([], [2.0, 1.0], [-1.0], [1.0, 1.0], [1.0, math.inf],
                     [1.0, math.nan]):
             with pytest.raises(ValueError):
                 convexity_sweep(unit_disc, bad, 0.3)
             with pytest.raises(ValueError):
-                Ladder(unit_disc, first, bad)
+                Ladder(unit_disc, bad, 0.3)
         assert solves == [] and meshed == []
-        mus = Ladder(unit_disc, first, [1, np.float32(2.0)]).mu_list
+        mus = Ladder(unit_disc, [1, np.float32(2.0)], 0.3).mu_list
         assert mus == [1.0, 2.0] and all(type(m) is float for m in mus)
 
     def test_budget_truncation(self, unit_disc):
@@ -302,15 +301,15 @@ class TestSweep:
 
 class TestLadder:
     def test_resolved_mesh_is_reused(self, unit_disc):
-        first = triangulate(unit_disc, 0.05)
-        ladder = Ladder(unit_disc, first, [1.0, 2.0, 4.0])
+        ladder = Ladder(unit_disc, [1.0, 2.0, 4.0], 0.05)
+        first = ladder.mesh
         steps = list(ladder)
         assert [mu for mu, _ in steps] == [1.0, 2.0, 4.0]
         assert all(m is first for _, m in steps)
         assert ladder.stopped_at is None
 
     def test_refines_until_resolved(self, l_shape):
-        ladder = Ladder(l_shape, triangulate(l_shape, 0.05), [5.0, 10.0, 20.0])
+        ladder = Ladder(l_shape, [5.0, 10.0, 20.0], 0.05)
         steps = list(ladder)
         assert [mu for mu, _ in steps] == [5.0, 10.0, 20.0]
         assert all(mu * m.h_max <= RESOLUTION_LIMIT for mu, m in steps)
@@ -320,7 +319,7 @@ class TestLadder:
         assert ladder.mesh is steps[-1][1]
 
     def test_budget_stop_keeps_finest_mesh(self, unit_disc):
-        ladder = Ladder(unit_disc, triangulate(unit_disc, 0.3), [1.0, 2000.0])
+        ladder = Ladder(unit_disc, [1.0, 2000.0], 0.3)
         assert [mu for mu, _ in ladder] == [1.0]
         assert ladder.stopped_at == 2000.0
         assert ladder.mesh.n_triangles == 614400

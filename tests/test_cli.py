@@ -8,9 +8,10 @@ import pytest
 
 from panharmonic import analysis, cli
 from panharmonic import mesh as meshing
-from panharmonic.geometry import (Polygon, dump_domain, l_shape, unit_disc,
-                                  unit_square)
+from panharmonic.geometry import (Polygon, dump_domain, l_shape,
+                                  regular_polygon, unit_disc, unit_square)
 from panharmonic.solver import ResolutionWarning, solve_neumann
+from strategies import skyline
 
 
 @pytest.fixture()
@@ -167,7 +168,7 @@ class TestCheckConvexity:
         monkeypatch.setattr(analysis, "triangulate", counted)
         assert _run(command + ["--domain", domains["disc"],
                                "--output-dir", str(tmp_path / "o")]) == 0
-        assert calls == [0.5 / 8.0]
+        assert calls == [0.5 / float(command[2])]  # 0.5 / mu_min
 
     def test_reruns_byte_identical(self, domains, tmp_path):
         outs = []
@@ -186,6 +187,36 @@ class TestCheckConvexity:
                      "--output-dir", str(tmp_path / "cb")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "check-convexity"])
+    def test_auto_budget_exhausted_exit_1(self, command, domains, tmp_path,
+                                          capsys):
+        # 'auto' meshes at 0.5/mu_min; a mesh over the budget exits 1.
+        code = _run([command, "--domain", domains["disc"], "--mu", "2000",
+                     "--output-dir", str(tmp_path / "ab")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("domain", [
+        l_shape(), regular_polygon(7), skyline((0.4, 0.8, 0.4, 1.2, 0.4))],
+        ids=["lshape", "heptagon", "skyline"])
+    def test_auto_rows_do_not_depend_on_other_mu(self, domain, tmp_path):
+        # A polygon's coarse mesh does not depend on target_h, so each row
+        # of an 'auto' sweep is the row of its mu requested alone.
+        path = tmp_path / "domain.json"
+        dump_domain(domain, path)
+
+        def rows(*mus):
+            out = tmp_path / "-".join(mus)
+            argv = ["check-convexity", "--domain", str(path),
+                    "--output-dir", str(out)]
+            for mu in mus:
+                argv += ["--mu", mu]
+            assert _run(argv) == 0
+            return (out / "margins.csv").read_bytes().splitlines()[1:]
+
+        assert rows("2", "5", "10") == [row for mu in ("2", "5", "10")
+                                        for row in rows(mu)]
 
 
 class TestProbeSuperharmonic:
@@ -267,8 +298,9 @@ class TestConfigErrors:
         ]
         # Every case is rejected before a mesh is built.
         meshed = []
-        monkeypatch.setattr(meshing, "triangulate",
-                            lambda *args: meshed.append(args))
+        for module in (meshing, analysis):
+            monkeypatch.setattr(module, "triangulate",
+                                lambda *args: meshed.append(args))
         for argv, message in cases:
             argv += ["--output-dir", str(tmp_path / "cfg")]
             assert _run(argv) == 2, argv

@@ -543,7 +543,16 @@ class TestDiscChain:
     def test_ring_rule(self, unit_disc):
         # The fewest rings of the form R0 2^L, R0 <= 12, at or above the
         # 1.448 / target_h that the web's longest edge needs, from the
-        # largest root.
+        # largest root.  In the budget band, 1.448 / 0.00251 needs 577
+        # rings, which round up to 640 = 10 2^6, over the budget; the most
+        # at that depth, 576 = 9 2^6, fit within 1.5 target_h.
+        m = triangulate(unit_disc, 0.00251)
+        assert m.h_max <= 1.5 * 0.00251
+        rings = []
+        while m is not None:
+            rings.append(math.isqrt(m.n_triangles // 6))
+            m = m.coarse
+        assert rings == [576 >> k for k in range(7)]
         for target_h in [0.9 * 0.6**k for k in range(12)] + [0.00265]:
             need = max(2, math.ceil(1.448 / target_h))
             m = triangulate(unit_disc, target_h)
@@ -558,6 +567,16 @@ class TestDiscChain:
             assert root_rings <= 12 and rings == root_rings << depth
             assert depth == 0 or math.ceil(need / 2 ** (depth - 1)) > 12
             assert m.h_max <= target_h
+
+    def test_budget_band_takes_most_rings_that_fit(self, unit_disc,
+                                                   monkeypatch):
+        # 1.448 / 0.115 needs 13 rings, which round up to 14 = 7 2^1; at a
+        # budget of 6 13^2 triangles those are over, and 12 = 6 2^1 fit.
+        monkeypatch.setattr(meshing, "TRIANGLE_BUDGET", 6 * 13**2)
+        m = triangulate(unit_disc, 0.115)
+        assert m.n_triangles == 6 * 12**2
+        assert m.coarse.n_triangles == 6 * 6**2 and m.coarse.coarse is None
+        assert m.h_max <= 1.5 * 0.115
 
     def test_budget_checked_before_building(self, unit_disc, monkeypatch):
         calls = []

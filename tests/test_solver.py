@@ -379,7 +379,7 @@ def test_skyline_cg_budget(heights, monkeypatch):
     # iterations per solve (about 51 on their Delaunay coarse meshes).
     dom = skyline(heights)
     for solve, mu in ((solve_dirichlet, 8.0), (solve_neumann, 4.0)):
-        [(_, m)] = Ladder(dom, triangulate(dom, RESOLUTION_LIMIT / mu), [mu])
+        [(_, m)] = Ladder(dom, [mu])
         assert _iterations(monkeypatch, solve, m, mu) <= 20
 
 
@@ -514,7 +514,7 @@ class TestMultigrid:
 
     def test_ladder_child_reuses_parent_operators(self, l_shape, monkeypatch):
         seen = self.spy_preconditioners(monkeypatch)
-        rungs = iter(Ladder(l_shape, triangulate(l_shape, 0.1), [2.0, 6.0]))
+        rungs = iter(Ladder(l_shape, [2.0, 6.0], 0.1))
         mu, parent = next(rungs)
         solve_dirichlet(parent, mu)
         k = parent.interior_stiffness

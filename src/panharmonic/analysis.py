@@ -37,7 +37,7 @@ from .geometry import (GEOMETRIC_TOL, Disc, Domain, Point2, Polygon,
                        boundary_distance_batch, disc_mean_distance,
                        distance_to_boundary, domain_scale, domain_to_dict,
                        is_convex_polygon, probe_fits)
-from .mesh import MeshBudgetError, refine_uniform, triangulate
+from .mesh import MeshBudgetError, chain_target, refine_uniform, triangulate
 from .solver import (CG_TOLERANCE, RESOLUTION_LIMIT, GradientField,
                      ScalarField, gradient_field, solve_dirichlet)
 
@@ -262,12 +262,14 @@ def decay_envelope_fit(fields, domain: Domain, rho: float) -> DecayEnvelope:
 class Ladder:
     """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
     mesh refined until mu * h_max <= RESOLUTION_LIMIT.  The chain starts at
-    triangulate(domain, target_h), or when target_h is None at
-    RESOLUTION_LIMIT / mu_list[0], the coarsest mesh the rule accepts for
-    the smallest mu.  At the first mu the triangle budget cannot resolve,
-    iteration stops; stopped_at is then that mu, and mesh the finest mesh
-    that fit.  The constructor checks mu_list (ValueError unless it is
-    nonempty, finite, positive and strictly ascending) before it meshes."""
+    triangulate(domain, target_h), or when target_h is None at the coarsest
+    mesh the rule accepts for RESOLUTION_LIMIT / mu_list[0] in the chain of
+    the mesh for RESOLUTION_LIMIT / mu_list[-1] (mesh.chain_target), so the
+    refinements reach the mesh the largest mu gets on its own.  At the
+    first mu the triangle budget cannot resolve, iteration stops;
+    stopped_at is then that mu, and mesh the finest mesh that fit.  The
+    constructor checks mu_list (ValueError unless it is nonempty, finite,
+    positive and strictly ascending) before it meshes."""
 
     def __init__(self, domain: Domain, mu_list, target_h: Optional[float] = None):
         mus = [float(m) for m in mu_list]
@@ -278,7 +280,8 @@ class Ladder:
         if any(b <= a for a, b in zip(mus, mus[1:])):
             raise ValueError(f"mu values must be strictly ascending, got {mus}")
         if target_h is None:
-            target_h = RESOLUTION_LIMIT / mus[0]
+            target_h = chain_target(domain, RESOLUTION_LIMIT / mus[0],
+                                    RESOLUTION_LIMIT / mus[-1])
         self.domain = domain
         self.mu_list = mus
         self.mesh = triangulate(domain, target_h)

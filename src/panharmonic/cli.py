@@ -10,9 +10,10 @@ Subcommands:
 
 Every command that solves (solve, varadhan, check-convexity) walks one
 analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
-0.5/mu_min) and refines as mu climbs, so each field is solved on a mesh
-that resolves it.  At the first mu the triangle budget cannot resolve, the
-command keeps what completed and exits 1.
+0.5/mu_min, on a disc in the chain of the mu_max mesh) and refines as mu
+climbs, so each field is solved on a mesh that resolves it.  At the first
+mu the triangle budget cannot resolve, the command keeps what completed
+and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, action="append", metavar="MU",
                        help="mu value (repeatable, ascending)")
         p.add_argument("--target-h", default="auto", metavar="H",
-                       help="mesh edge target, or 'auto' (0.5/mu_min)")
+                       help="mesh edge target, or 'auto' (0.5/mu_min; on a disc, "
+                            "in the chain of the mu_max mesh)")
 
     p = sub.add_parser("solve", help="solve one field and dump it")
     add_domain(p)

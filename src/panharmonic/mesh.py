@@ -610,6 +610,36 @@ def _grid_mesh(polygon: Polygon) -> Mesh:
                 renumbered.reshape(cells.shape))
 
 
+def _ring_rule(disc: Disc, target_h: float) -> tuple[int, int]:
+    """(R0 2^L, L): the ring rule's count for target_h, before the budget."""
+    need = max(2, math.ceil(_DISC_EDGE_FACTOR * disc.radius / target_h))
+    levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
+    return math.ceil(need / 2**levels) << levels, levels
+
+
+def chain_target(domain: Domain, target_h: float, finest_h: float) -> float:
+    """The target of the coarsest mesh that triangulate accepts for target_h
+    in the chain of its finest_h mesh, so refining it reaches that mesh.  A
+    polygon's chain does not depend on the target.  A disc gets the fewest
+    rings R0 2^k of the finest_h chain at or above target_h's own count;
+    over the budget, target_h / 1.5, which triangulate's budget step meets
+    with a mesh that resolves target_h or refuses before building.  Past
+    triangulate's range of targets, finest_h."""
+    if target_h >= 0.5 * domain_scale(domain):
+        return finest_h
+    if not isinstance(domain, Disc):
+        return target_h
+    own, _ = _ring_rule(domain, target_h)
+    rings, levels = _ring_rule(domain, finest_h)
+    rings >>= levels
+    while rings < own:
+        rings *= 2
+    if 6 * rings * rings > TRIANGLE_BUDGET:
+        return target_h / 1.5
+    # The ring rule gives exactly those rings at 1.448 radius / (rings - 1/2).
+    return target_h if rings == own else _DISC_EDGE_FACTOR * domain.radius / (rings - 0.5)
+
+
 def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h.
 
@@ -623,17 +653,15 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     Discs: the concentric web of at most 12 rings refined to the ring rule's
     count (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0
     at its centre; the budget is checked on that count before any building.
-    A count over the budget falls back to the most rings at the same depth
-    that fit, when their longest edge still meets the 1.5 * target_h bound.
+    A count over the budget becomes the most rings at the same depth that
+    fit, when their longest edge still meets the 1.5 * target_h bound.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
     if target_h >= 0.5 * domain_scale(domain):
         raise ValueError("target_h must be below half the bounding-box diagonal")
     if isinstance(domain, Disc):
-        need = max(2, math.ceil(_DISC_EDGE_FACTOR * domain.radius / target_h))
-        levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
-        rings = math.ceil(need / 2**levels) << levels
+        rings, levels = _ring_rule(domain, target_h)
         if 6 * rings * rings > TRIANGLE_BUDGET:
             fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
             if _DISC_EDGE_FACTOR * domain.radius > 1.5 * target_h * fits:

@@ -197,26 +197,40 @@ class TestCheckConvexity:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @staticmethod
+    def auto_rows(domain, tmp_path, *mus):
+        """The margins.csv rows of an 'auto' check-convexity sweep."""
+        path = tmp_path / "domain.json"
+        dump_domain(domain, path)
+        out = tmp_path / "-".join(mus)
+        argv = ["check-convexity", "--domain", str(path), "--output-dir", str(out)]
+        for mu in mus:
+            argv += ["--mu", mu]
+        assert _run(argv) == 0
+        return (out / "margins.csv").read_bytes().splitlines()[1:]
+
     @pytest.mark.parametrize("domain", [
         l_shape(), regular_polygon(7), skyline((0.4, 0.8, 0.4, 1.2, 0.4))],
         ids=["lshape", "heptagon", "skyline"])
     def test_auto_rows_do_not_depend_on_other_mu(self, domain, tmp_path):
         # A polygon's coarse mesh does not depend on target_h, so each row
         # of an 'auto' sweep is the row of its mu requested alone.
-        path = tmp_path / "domain.json"
-        dump_domain(domain, path)
+        assert self.auto_rows(domain, tmp_path, "2", "5", "10") == [
+            row for mu in ("2", "5", "10")
+            for row in self.auto_rows(domain, tmp_path, mu)]
 
-        def rows(*mus):
-            out = tmp_path / "-".join(mus)
-            argv = ["check-convexity", "--domain", str(path),
-                    "--output-dir", str(out)]
-            for mu in mus:
-                argv += ["--mu", mu]
-            assert _run(argv) == 0
-            return (out / "margins.csv").read_bytes().splitlines()[1:]
+    def test_auto_disc_ends_on_the_largest_mu_mesh(self, tmp_path):
+        # A disc's ring count follows target_h, so 'auto' starts in the chain
+        # of the largest mu's mesh (8 rings of 32 here), and the largest mu's
+        # row is its row requested alone.
+        rows = self.auto_rows(unit_disc(), tmp_path, "2", "5", "10")
+        assert rows[-1:] == self.auto_rows(unit_disc(), tmp_path, "10")
 
-        assert rows("2", "5", "10") == [row for mu in ("2", "5", "10")
-                                        for row in rows(mu)]
+    def test_auto_disc_wide_sweep_resolves_every_mu(self, tmp_path):
+        # mu = 150 alone gets 448 = 7 2^6 rings (1,204,224 triangles).  From
+        # the 3 rings that mu = 1 alone gets, doubling skips from 384 rings,
+        # too coarse, to 768, over the budget; the sweep starts at 7 rings.
+        assert len(self.auto_rows(unit_disc(), tmp_path, "1", "150")) == 2
 
 
 class TestProbeSuperharmonic:

@@ -37,7 +37,8 @@ from .geometry import (GEOMETRIC_TOL, Disc, Domain, Point2, Polygon,
                        boundary_distance_batch, disc_mean_distance,
                        distance_to_boundary, domain_scale, domain_to_dict,
                        is_convex_polygon, probe_fits)
-from .mesh import MeshBudgetError, chain_target, refine_uniform, triangulate
+from . import mesh as meshing
+from .mesh import MeshBudgetError, chain_root, refine_uniform, triangulate
 from .solver import (CG_TOLERANCE, RESOLUTION_LIMIT, GradientField,
                      ScalarField, gradient_field, solve_dirichlet)
 
@@ -261,15 +262,14 @@ def decay_envelope_fit(fields, domain: Domain, rho: float) -> DecayEnvelope:
 
 class Ladder:
     """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
-    mesh refined until mu * h_max <= RESOLUTION_LIMIT.  The chain starts at
-    triangulate(domain, target_h), or when target_h is None at the coarsest
-    mesh the rule accepts for RESOLUTION_LIMIT / mu_list[0] in the chain of
-    the mesh for RESOLUTION_LIMIT / mu_list[-1] (mesh.chain_target), so the
-    refinements reach the mesh the largest mu gets on its own.  At the
-    first mu the triangle budget cannot resolve, iteration stops;
-    stopped_at is then that mu, and mesh the finest mesh that fit.  The
-    constructor checks mu_list (ValueError unless it is nonempty, finite,
-    positive and strictly ascending) before it meshes."""
+    mesh refined until mu * h_max <= RESOLUTION_LIMIT and it has an interior
+    node.  The chain starts at triangulate(domain, target_h), or when
+    target_h is None at chain_root(domain, RESOLUTION_LIMIT / mu_list[-1]),
+    for every domain.  Each refinement at most halves h_max; once the budget
+    cannot fit the refinements a mu needs by that bound, iteration stops
+    without building them.  stopped_at is then that mu, and mesh the last
+    mesh yielded.  The constructor checks mu_list (ValueError unless it is
+    nonempty, finite, positive and strictly ascending) before it meshes."""
 
     def __init__(self, domain: Domain, mu_list, target_h: Optional[float] = None):
         mus = [float(m) for m in mu_list]
@@ -279,23 +279,28 @@ class Ladder:
             raise ValueError(f"mu values must be positive and finite, got {mus}")
         if any(b <= a for a, b in zip(mus, mus[1:])):
             raise ValueError(f"mu values must be strictly ascending, got {mus}")
-        if target_h is None:
-            target_h = chain_target(domain, RESOLUTION_LIMIT / mus[0],
-                                    RESOLUTION_LIMIT / mus[-1])
         self.domain = domain
         self.mu_list = mus
-        self.mesh = triangulate(domain, target_h)
+        self.mesh = (chain_root(domain, RESOLUTION_LIMIT / mus[-1]) if target_h is None
+                     else triangulate(domain, target_h))
         self.stopped_at: Optional[float] = None
 
     def __iter__(self):
         for mu in self.mu_list:
+            mesh = self.mesh
             try:
-                while mu * self.mesh.h_max > RESOLUTION_LIMIT:
-                    self.mesh = refine_uniform(self.mesh, self.domain)
+                while mu * mesh.h_max > RESOLUTION_LIMIT or mesh.boundary_node.all():
+                    # floor(log4(budget / n_triangles)) more refinements fit.
+                    fit = meshing.TRIANGLE_BUDGET // mesh.n_triangles
+                    more = (fit.bit_length() - 1) // 2
+                    if more < 1 or mu * mesh.h_max > RESOLUTION_LIMIT * 2.0**more:
+                        raise MeshBudgetError(f"resolving mu={mu:g}")
+                    mesh = refine_uniform(mesh, self.domain)
             except MeshBudgetError:
                 self.stopped_at = mu
                 return
-            yield mu, self.mesh
+            self.mesh = mesh
+            yield mu, mesh
 
 
 def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
@@ -330,8 +335,8 @@ def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
             "triangle budget too small to resolve even the smallest mu")
     if ladder.stopped_at is not None:
         notes.append(
-            f"sweep truncated before mu={ladder.stopped_at:g}: refining past "
-            f"{ladder.mesh.n_triangles} triangles exceeds the budget")
+            f"sweep truncated before mu={ladder.stopped_at:g}: resolving it "
+            f"needs more than the budget of {meshing.TRIANGLE_BUDGET} triangles")
 
     # The ladder resolves every mu it yields, so each result is verified.
     verdict = (VERDICT_HOLDS if all(r.holds() for r in cond_results)

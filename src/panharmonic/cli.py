@@ -10,14 +10,16 @@ Subcommands:
 
 Every command that solves (solve, varadhan, check-convexity) walks one
 analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
-0.5/mu_min, on a disc in the chain of the mu_max mesh) and refines as mu
+the root of the largest mu's chain, mesh.chain_root) and refines as mu
 climbs, so each field is solved on a mesh that resolves it.  At the first
 mu the triangle budget cannot resolve, the command keeps what completed
 and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
-produce byte-identical output files.
+produce byte-identical output files on one machine and BLAS kernel: CG's
+dot products and norm and the dense coarsest inverse and its product round
+per kernel, which OpenBLAS picks per CPU unless OPENBLAS_CORETYPE pins it.
 """
 
 from __future__ import annotations
@@ -50,17 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="domain description JSON")
         p.add_argument("--output-dir", default=".", metavar="DIR")
 
+    def add_target_h(p):
+        p.add_argument("--target-h", default="auto", metavar="H", help="mesh edge "
+                       "target, or 'auto' (refine from the root of the largest mu's chain)")
+
     def add_mu_spec(p):
         p.add_argument("--mu", type=float, action="append", metavar="MU",
                        help="mu value (repeatable, ascending)")
-        p.add_argument("--target-h", default="auto", metavar="H",
-                       help="mesh edge target, or 'auto' (0.5/mu_min; on a disc, "
-                            "in the chain of the mu_max mesh)")
+        add_target_h(p)
 
     p = sub.add_parser("solve", help="solve one field and dump it")
     add_domain(p)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--target-h", default="auto", metavar="H")
+    add_target_h(p)
     p.add_argument("--neumann", action="store_true",
                    help="flux data dv/dn = mu instead of v = 1")
 

@@ -65,9 +65,9 @@ _CHILD_CORNERS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]])
 _CHILD_GRADIENT_SCALES = (2.0, 2.0, 2.0, -2.0)
 # The ring rule for discs: a web's longest edge, the first sector diagonal of
 # an annulus, is sqrt(1 + (pi/3)^2) ~ 1.448 ring spacings, so a disc needs
-# R = ceil(1.448 radius / target_h) rings.  It gets R0 2^L, the fewest at or
-# above R with a root of R0 <= 12 rings (at most 397 interior nodes); over
-# the budget, the most at that L that fit, if they keep 1.5 target_h.
+# R = ceil(1.448 radius / target_h) rings.  _ring_rule alone gives R0 2^L,
+# the fewest at or above R with a root of R0 <= 12 rings (397 interior nodes
+# at most); over the budget, the most at that L that fit within 1.5 target_h.
 _DISC_EDGE_FACTOR = 1.4480
 
 
@@ -611,50 +611,47 @@ def _grid_mesh(polygon: Polygon) -> Mesh:
 
 
 def _ring_rule(disc: Disc, target_h: float) -> tuple[int, int]:
-    """(R0 2^L, L): the ring rule's count for target_h, before the budget."""
+    """(R0 2^L, L): the ring rule's count for target_h.  Over the budget it
+    is the most rings at depth L that fit, if their longest edge keeps
+    1.5 target_h; otherwise the count stays over, and triangulate refuses."""
     need = max(2, math.ceil(_DISC_EDGE_FACTOR * disc.radius / target_h))
     levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
-    return math.ceil(need / 2**levels) << levels, levels
+    rings = math.ceil(need / 2**levels) << levels
+    fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
+    if rings > fits and _DISC_EDGE_FACTOR * disc.radius <= 1.5 * target_h * fits:
+        rings = fits
+    return rings, levels
 
 
-def chain_target(domain: Domain, target_h: float, finest_h: float) -> float:
-    """The target of the coarsest mesh that triangulate accepts for target_h
-    in the chain of its finest_h mesh, so refining it reaches that mesh.  A
-    polygon's chain does not depend on the target.  A disc gets the fewest
-    rings R0 2^k of the finest_h chain at or above target_h's own count;
-    over the budget, target_h / 1.5, which triangulate's budget step meets
-    with a mesh that resolves target_h or refuses before building.  Past
-    triangulate's range of targets, finest_h."""
-    if target_h >= 0.5 * domain_scale(domain):
-        return finest_h
-    if not isinstance(domain, Disc):
-        return target_h
-    own, _ = _ring_rule(domain, target_h)
-    rings, levels = _ring_rule(domain, finest_h)
-    rings >>= levels
-    while rings < own:
-        rings *= 2
-    if 6 * rings * rings > TRIANGLE_BUDGET:
-        return target_h / 1.5
-    # The ring rule gives exactly those rings at 1.448 radius / (rings - 1/2).
-    return target_h if rings == own else _DISC_EDGE_FACTOR * domain.radius / (rings - 0.5)
+def chain_root(domain: Domain, target_h: float) -> Mesh:
+    """The coarsest mesh of triangulate(domain, target_h)'s chain, for any
+    target_h > 0, whether the chain fits the budget or not: a disc's web of
+    _ring_rule's R0 rings, or a polygon's constrained Delaunay triangulation
+    (ear clipping, Lawson flips), which the right-angled grid of _grid_mesh
+    replaces when it has an obtuse triangle (mesh_quality's test) and every
+    side is axis-parallel.  A polygon's root does not depend on target_h."""
+    if isinstance(domain, Disc):
+        rings, levels = _ring_rule(domain, target_h)
+        return _disc_web(domain, rings >> levels)
+    vertices = domain.vertices
+    mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
+    sides = np.roll(vertices, -1, axis=0) - vertices
+    if (np.all((sides[:, 0] == 0.0) | (sides[:, 1] == 0.0))
+            and mesh_quality(mesh).nonobtuse_fraction < 1.0):
+        return _grid_mesh(domain)
+    return mesh
 
 
 def triangulate(domain: Domain, target_h: float) -> Mesh:
-    """Mesh the domain with longest edge at most 1.5 * target_h.
+    """Mesh the domain with longest edge at most 1.5 * target_h: chain_root
+    refined uniformly.
 
-    Polygons: ear clipping, Lawson flips to the constrained Delaunay
-    triangulation of the polygon's vertices, then uniform refinement until
-    the bound holds; the result is that refinement as it is, nested in the
-    chain down to the coarse mesh and with exactly its angles.  When that
-    coarse mesh has an obtuse triangle (mesh_quality's test) and every side
-    of the polygon is axis-parallel, the grid of _grid_mesh replaces it:
-    every triangle is right-angled, so K is an M-matrix at every level.
-    Discs: the concentric web of at most 12 rings refined to the ring rule's
-    count (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0
-    at its centre; the budget is checked on that count before any building.
-    A count over the budget becomes the most rings at the same depth that
-    fit, when their longest edge still meets the 1.5 * target_h bound.
+    Polygons: refined until the bound holds; the result is nested in the
+    chain down to the root and has exactly its angles, so a nonobtuse root
+    gives an M-matrix at every level.  Discs: refined to _ring_rule's count
+    (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0 at
+    its centre; a count still over the budget raises MeshBudgetError before
+    anything is built.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
@@ -663,23 +660,14 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
     if isinstance(domain, Disc):
         rings, levels = _ring_rule(domain, target_h)
         if 6 * rings * rings > TRIANGLE_BUDGET:
-            fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
-            if _DISC_EDGE_FACTOR * domain.radius > 1.5 * target_h * fits:
-                raise MeshBudgetError(
-                    f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
-                    f"triangles, over the budget of {TRIANGLE_BUDGET}")
-            rings = fits
+            raise MeshBudgetError(
+                f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
+                f"triangles, over the budget of {TRIANGLE_BUDGET}")
         mesh = _disc_web(domain, rings >> levels)
         for _ in range(levels):
             mesh = refine_uniform(mesh, domain)
         return mesh
-
-    vertices = domain.vertices
-    mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
-    sides = np.roll(vertices, -1, axis=0) - vertices
-    if (np.all((sides[:, 0] == 0.0) | (sides[:, 1] == 0.0))
-            and mesh_quality(mesh).nonobtuse_fraction < 1.0):
-        mesh = _grid_mesh(domain)
+    mesh = chain_root(domain, target_h)
     while mesh.h_max > 1.5 * target_h:
         mesh = refine_uniform(mesh, domain)
     return mesh

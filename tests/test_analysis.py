@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from panharmonic import analysis
+from panharmonic import mesh as meshing
 from panharmonic.analysis import (ConditionResult, DecayEnvelope, Ladder,
                                   NonpositiveFieldError, VERDICT_FAILS,
                                   VERDICT_HOLDS, canonical_corner_probe,
@@ -281,10 +282,10 @@ class TestSweep:
         assert report.mu_list == (1.0,)
         assert report.largest_verified_mu == 1.0
         assert report.verdict == VERDICT_HOLDS
-        # The note counts the finest mesh that fit, refined past the mu=1
-        # mesh on the way to mu=2000 (150 triangles would mean it was lost).
-        assert ("sweep truncated before mu=2000: refining past 614400 "
-                "triangles exceeds the budget") in report.notes
+        # The note names the mu and the budget: the mu=1 mesh, 150
+        # triangles, would need 11 more refinements to resolve mu=2000.
+        assert ("sweep truncated before mu=2000: resolving it needs more "
+                "than the budget of 2000000 triangles") in report.notes
 
     def test_budget_exhausted_entirely(self, unit_disc):
         with pytest.raises(MeshBudgetError):
@@ -318,11 +319,27 @@ class TestLadder:
         assert ladder.stopped_at is None
         assert ladder.mesh is steps[-1][1]
 
-    def test_budget_stop_keeps_finest_mesh(self, unit_disc):
+    def test_budget_stop_keeps_finest_mesh(self, unit_disc, monkeypatch):
+        # mu=2000 needs at least 11 refinements of the 150 triangles that
+        # resolve mu=1, and 150 4^11 triangles are over the budget: the
+        # ladder stops without refining, and mesh stays the last it yielded.
         ladder = Ladder(unit_disc, [1.0, 2000.0], 0.3)
+        refined = []
+        monkeypatch.setattr(analysis, "refine_uniform",
+                            lambda *args: refined.append(args))
         assert [mu for mu, _ in ladder] == [1.0]
         assert ladder.stopped_at == 2000.0
-        assert ladder.mesh.n_triangles == 614400
+        assert ladder.mesh.n_triangles == 150 and refined == []
+
+    def test_budget_band_auto(self, unit_disc, monkeypatch):
+        # 'auto' for mu=4.2 alone starts at the root of the 0.5/4.2 chain.
+        # That needs 13 rings, which round up to 14 = 7 2^1, over a budget
+        # of 6 13^2 triangles; the ring rule takes 12 = 6 2^1, and one
+        # refinement of its 6-ring root resolves mu=4.2.
+        monkeypatch.setattr(meshing, "TRIANGLE_BUDGET", 6 * 13**2)
+        ladder = Ladder(unit_disc, [4.2])
+        assert [(mu, m.n_triangles) for mu, m in ladder] == [(4.2, 6 * 12**2)]
+        assert ladder.stopped_at is None
 
 
 class TestReportOutput:

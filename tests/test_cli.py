@@ -50,8 +50,8 @@ class TestSolve:
         assert (a / "mesh.txt").read_bytes() == (b / "mesh.txt").read_bytes()
 
     def test_lshape_auto_target_resolves(self, domains, tmp_path, capsys):
-        # auto meshes at 0.5/mu, but the L-shape's coarse mesh then has
-        # h_max 0.0625; the ladder refines it once more.
+        # auto refines the L-shape's root until 10 h_max <= 0.5: the first
+        # level within 1.5 * 0.05 has h_max 0.0625, one more is needed.
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResolutionWarning)
             code = _run(["solve", "--domain", domains["lshape"], "--mu", "10",
@@ -157,18 +157,22 @@ class TestCheckConvexity:
         ["check-convexity", "--mu", "4", "--mu", "8"]])
     def test_auto_target_meshes_once(self, command, domains, tmp_path,
                                      monkeypatch):
-        calls = []
-        plain = meshing.triangulate
+        # 'auto' starts at the root of the largest mu's chain, once, and
+        # never calls triangulate.
+        calls = {"chain_root": [], "triangulate": []}
+        for name in calls:
+            plain = getattr(meshing, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return plain(*args, **kwargs)
+            def counted(*args, name=name, plain=plain):
+                calls[name].append(args[1])
+                return plain(*args)
 
-        monkeypatch.setattr(meshing, "triangulate", counted)
-        monkeypatch.setattr(analysis, "triangulate", counted)
+            monkeypatch.setattr(meshing, name, counted)
+            monkeypatch.setattr(analysis, name, counted)
         assert _run(command + ["--domain", domains["disc"],
                                "--output-dir", str(tmp_path / "o")]) == 0
-        assert calls == [0.5 / float(command[2])]  # 0.5 / mu_min
+        assert calls == {"chain_root": [0.5 / float(command[-1])],  # 0.5 / mu_max
+                         "triangulate": []}
 
     def test_reruns_byte_identical(self, domains, tmp_path):
         outs = []
@@ -191,7 +195,7 @@ class TestCheckConvexity:
     @pytest.mark.parametrize("command", ["solve", "check-convexity"])
     def test_auto_budget_exhausted_exit_1(self, command, domains, tmp_path,
                                           capsys):
-        # 'auto' meshes at 0.5/mu_min; a mesh over the budget exits 1.
+        # 'auto' starts at the root; a mu it cannot resolve exits 1.
         code = _run([command, "--domain", domains["disc"], "--mu", "2000",
                      "--output-dir", str(tmp_path / "ab")])
         assert code == 1
@@ -220,17 +224,56 @@ class TestCheckConvexity:
             for row in self.auto_rows(domain, tmp_path, mu)]
 
     def test_auto_disc_ends_on_the_largest_mu_mesh(self, tmp_path):
-        # A disc's ring count follows target_h, so 'auto' starts in the chain
-        # of the largest mu's mesh (8 rings of 32 here), and the largest mu's
-        # row is its row requested alone.
+        # A disc's ring count follows target_h, so 'auto' starts at the root
+        # of the largest mu's chain (8 rings of 32 here), and the largest
+        # mu's row is its row requested alone.
         rows = self.auto_rows(unit_disc(), tmp_path, "2", "5", "10")
         assert rows[-1:] == self.auto_rows(unit_disc(), tmp_path, "10")
 
     def test_auto_disc_wide_sweep_resolves_every_mu(self, tmp_path):
         # mu = 150 alone gets 448 = 7 2^6 rings (1,204,224 triangles).  From
         # the 3 rings that mu = 1 alone gets, doubling skips from 384 rings,
-        # too coarse, to 768, over the budget; the sweep starts at 7 rings.
+        # too coarse, to 768, over the budget; the sweep starts at the 7-ring
+        # root of 448.
         assert len(self.auto_rows(unit_disc(), tmp_path, "1", "150")) == 2
+
+    @pytest.mark.parametrize("domain, mus, rows", [
+        (l_shape(), ("2000",), 0), (unit_disc(), ("1", "250"), 1)],
+        ids=["lshape-2000", "disc-1-250"])
+    def test_auto_budget_stop_builds_nothing_more(self, domain, mus, rows,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # At least log2(mu h_max / 0.5) more refinements, 4 times the
+        # triangles each, are over the budget: the sweep stops without
+        # refining.  The disc's 9-ring root (of 576 rings, the most that
+        # fit for 0.5/250) resolves mu = 1 as it is.
+        path = tmp_path / "domain.json"
+        dump_domain(domain, path)
+        refined = []
+        for module in (meshing, analysis):
+            monkeypatch.setattr(module, "refine_uniform",
+                                lambda *args: refined.append(args))
+        argv = ["check-convexity", "--domain", str(path),
+                "--output-dir", str(tmp_path / "o")]
+        for mu in mus:
+            argv += ["--mu", mu]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert refined == []
+        if rows:
+            csv = (tmp_path / "o" / "margins.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in csv[1:]] == ["1"]
+
+    @pytest.mark.parametrize("domain, argv", [
+        ("square", ["check-convexity", "--mu", "0.6"]),
+        ("lshape", ["solve", "--mu", "0.2", "--target-h", "1.4"])],
+        ids=["square-auto", "lshape-coarse"])
+    def test_small_mu_refines_to_an_interior_node(self, domain, argv, domains,
+                                                  tmp_path):
+        # A root with no interior node (the square's two triangles, the
+        # L-shape's four) is refined once, though it resolves mu.
+        assert _run(argv + ["--domain", domains[domain],
+                            "--output-dir", str(tmp_path / "s")]) == 0
 
 
 class TestProbeSuperharmonic:
@@ -313,8 +356,9 @@ class TestConfigErrors:
         # Every case is rejected before a mesh is built.
         meshed = []
         for module in (meshing, analysis):
-            monkeypatch.setattr(module, "triangulate",
-                                lambda *args: meshed.append(args))
+            for name in ("triangulate", "chain_root"):
+                monkeypatch.setattr(module, name,
+                                    lambda *args: meshed.append(args))
         for argv, message in cases:
             argv += ["--output-dir", str(tmp_path / "cfg")]
             assert _run(argv) == 2, argv

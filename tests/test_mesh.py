@@ -23,7 +23,7 @@ from panharmonic.geometry import (Disc, Point2, Polygon, contains_point, domain_
 from panharmonic import mesh as meshing
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError, _disc_web,
                               _ear_clip, _edge_topology, _grid_mesh, _lawson_flip,
-                              _signed_areas, chain_target, mesh_quality,
+                              _signed_areas, chain_root, mesh_quality,
                               refine_uniform, save_mesh_text, triangulate)
 from panharmonic.solver import ResolutionWarning, solve_dirichlet, solve_neumann
 from strategies import (comb, combs, rotated_l_shape, skyline, skylines,
@@ -578,51 +578,27 @@ class TestDiscChain:
         assert m.coarse.n_triangles == 6 * 6**2 and m.coarse.coarse is None
         assert m.h_max <= 1.5 * 0.115
 
-    @pytest.mark.parametrize("lo, hi, rings", [
-        (1.0, 150.0, 7), (1.0, 100.0, 10), (2.0, 10.0, 8), (4.0, 8.0, 12),
-        (8.0, 8.0, 24), (0.3, 5.0, 16)])
-    def test_chain_target(self, unit_disc, lo, hi, rings):
-        # The fewest rings of the 0.5/hi mesh's chain, R0 2^k, that the ring
-        # rule accepts for 0.5/lo (1.448 lo / 0.5 or more); 0.5/0.3 is past
-        # triangulate's range, so 0.5/5 itself.  Arithmetic only: no mesh
-        # is built.
-        finest, levels = meshing._ring_rule(unit_disc, 0.5 / hi)
-        t = chain_target(unit_disc, 0.5 / lo, 0.5 / hi)
-        got, depth = meshing._ring_rule(unit_disc, t)
-        assert got == rings and got >> depth == finest >> levels and depth <= levels
-        assert got >= 1.448 * lo / 0.5 or lo == 0.3
-        if got == meshing._ring_rule(unit_disc, 0.5 / lo)[0]:
-            assert t == 0.5 / lo
-        assert chain_target(l_shape(), 0.5 / lo, 0.5 / hi) == (
-            0.5 / hi if lo == 0.3 else 0.5 / lo)
-
-    def test_chain_target_over_budget_meets_target(self, unit_disc, monkeypatch):
-        # 0.5/150 in the chain of 0.5/200 needs 640 = 10 2^6 rings, over the
-        # budget: 0.5/150 / 1.5 asks the budget step for the most rings that
-        # meet 0.5/150 (576 = 9 2^6).  0.5/250 alone needs 768 rings, and
-        # no mesh within the budget meets it: triangulate raises before it
-        # builds anything.
-        assert chain_target(unit_disc, 0.5 / 150, 0.5 / 200) == 0.5 / 150 / 1.5
-        t = chain_target(unit_disc, 0.5 / 250, 0.5 / 250)
-        assert t == 0.5 / 250 / 1.5
-        calls = []
-        for name in ("_disc_web", "refine_uniform"):
-            monkeypatch.setattr(meshing, name,
-                                lambda *args, name=name: calls.append(name))
-        with pytest.raises(MeshBudgetError):
-            triangulate(unit_disc, t)
-        assert calls == []
-
-    def test_chain_target_refines_to_the_finest_mesh(self, unit_disc):
-        # 0.5/2 in the chain of 0.5/10: 8 rings, two refinements from the
-        # 32-ring mesh that 0.5/10 gets, node for node.
-        m = triangulate(unit_disc, chain_target(unit_disc, 0.5 / 2, 0.5 / 10))
-        assert m.n_triangles == 6 * 8**2
-        finest = triangulate(unit_disc, 0.5 / 10)
-        for _ in range(2):
-            m = refine_uniform(m, unit_disc)
-        assert np.array_equal(m.nodes, finest.nodes)
-        assert np.array_equal(m.triangles, finest.triangles)
+    @pytest.mark.parametrize("domain, target_h", [
+        (unit_disc(), 0.5), (unit_disc(), 0.5 / 10), (unit_disc(), 0.5 / 150),
+        (unit_disc(), 0.00251), (l_shape(), 0.05), (regular_polygon(7), 0.05),
+        (skyline((0.4, 0.8, 0.4, 1.2, 0.4)), 0.05)],
+        ids=["disc-1", "disc-10", "disc-150", "disc-band", "lshape", "heptagon",
+             "skyline"])
+    def test_chain_root(self, domain, target_h):
+        # The coarsest mesh of triangulate's chain, node for node: at the
+        # band target 0.00251, the 9-ring root of the 576-ring chain.  A
+        # polygon's root does not depend on the target, even past
+        # triangulate's range.
+        root = triangulate(domain, target_h)
+        while root.coarse is not None:
+            root = root.coarse
+        got = chain_root(domain, target_h)
+        assert np.array_equal(got.nodes, root.nodes)
+        assert np.array_equal(got.triangles, root.triangles)
+        if target_h == 0.00251:
+            assert got.n_triangles == 6 * 9**2
+        if not isinstance(domain, Disc):
+            assert np.array_equal(chain_root(domain, 1e3).nodes, root.nodes)
 
     def test_budget_checked_before_building(self, unit_disc, monkeypatch):
         calls = []

@@ -40,7 +40,11 @@ _EXIT_PIPELINE = 1
 _EXIT_CONFIG = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every main call, built on the first.  Reuse is
+    safe: parse_args keeps nothing, and the repeatable --mu starts from its
+    default None in each call."""
     parser = argparse.ArgumentParser(
         prog="panharmonic",
         description="Screened-Poisson fields, distance recovery, and the "

@@ -19,21 +19,23 @@ domain, nested except at a disc's projected boundary midpoints.  The
 solver's multigrid preconditioner runs over that chain of meshes, each
 level with the operators its own mesh caches.
 
-A uniform refinement of a polygon mesh computes none of its geometry.  Each
-child triangle is similar to its parent at half the size (the middle child
-also turned by a half-turn), so its area is the parent's area / 4, its hat
-gradients are +-2 times the parent's, and its local stiffness products
+Roots and directly built meshes compute their geometry from their nodes,
+refinements copy it, and the rim is patched.  Each child triangle of a
+uniform refinement is similar to its parent at half the size (the middle
+child also turned by a half-turn), so its area is the parent's area / 4, its
+hat gradients are +-2 times the parent's, and its local stiffness products
 A grad(lambda_i).grad(lambda_j), which depend only on the angles, are the
 parent's; _CHILD_CORNERS says which parent corner each child corner copies.
-Scaling by 2 and 4 is exact in binary floating point, so each stiffness
-weight of a refined level is, exactly, a weight of the chain's coarsest mesh
-(on the halves of a coarse edge) or twice one of its local side products (on
-the edges between midpoints).  Positive areas and the sign pattern of K (an
-M-matrix exactly when no weight is positive) are therefore settled on the
-coarsest mesh, whatever the rounding of the refined nodes.  Disc refinements
-project boundary midpoints onto the circle, so their children are not
-similar; they, the coarsest mesh of each chain and meshes built directly
-compute their geometry from their nodes.
+The rim is the exception: on a disc, the 3 children at each projected
+boundary midpoint are not similar to their parent, and compute their
+geometry from the nodes.  Scaling by 2 and 4 is exact in binary floating
+point, so every local product of a refined level is, exactly, one of the
+chain's coarsest mesh or of a rim child, and on a polygon each stiffness
+weight is a weight of the coarsest mesh (on the halves of a coarse edge) or
+twice one of its local side products (on the edges between midpoints).
+Positive areas and the sign pattern of K (an M-matrix exactly when no
+weight is positive) are therefore settled on the coarsest mesh plus the rim
+children, whatever the rounding of the refined nodes.
 
 Topology is kept compact: triangles, unique edges and the side-to-edge map
 are int32 (TRIANGLE_BUDGET keeps every index below 2^31), and the count of
@@ -103,12 +105,12 @@ class Mesh:
     solve reads, and the lumped mass.  The stiffness weights they are built
     from are computed once for K_II and K 1 together and not kept; K
     computes them again.  A mesh that computes its geometry from its nodes
-    also caches its (M, 3, 2) hat gradients.  A refinement of a polygon
-    mesh (see the module docstring) takes its areas from its coarse mesh,
-    and gathers its gradients and local stiffness products from there
-    whenever they are asked for, caching neither; gradient_field reads
-    its parent's gradients block by block (_gradient_blocks) and never
-    forms its own.
+    (a chain's root, or one built directly) also caches its (M, 3, 2) hat
+    gradients.  A refinement (_Refinement, see the module docstring) takes
+    its areas from its coarse mesh, and gathers its gradients and local
+    stiffness products from there whenever they are asked for, caching
+    only its rim's; gradient_field reads its parent's gradients block by
+    block (_gradient_blocks) and never forms its own.
     """
 
     def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix] | None = None,
@@ -157,11 +159,7 @@ class Mesh:
 
     def _triangle_areas(self, nodes, triangles) -> np.ndarray:
         """The (M,) triangle areas, checked positive."""
-        areas = _signed_areas(nodes, triangles)
-        if np.any(areas <= 0.0):
-            bad = int(np.argmax(areas <= 0.0))
-            raise ValueError(f"triangle {bad} is degenerate or flipped")
-        return areas
+        return _checked_areas(nodes, triangles)
 
     @property
     def n_nodes(self) -> int:
@@ -193,15 +191,10 @@ class Mesh:
         triangle areas they are scaled by: ((M, 3, 2), (M,)), read-only.
 
         grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
-        Computed from the nodes and cached here; a refinement of a polygon
-        mesh gathers them from its coarse mesh on each call instead.
+        Computed from the nodes and cached here; a refinement gathers them
+        from its coarse mesh on each call instead, with its rim's own.
         """
-        x, y = _corner_coordinates(self.nodes, self.triangles)
-        # Column i holds p_{i+2} - p_{i+1}.
-        ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-        ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
-        twice = (2.0 * self._areas)[:, None]
-        grads = np.stack([-ey / twice, ex / twice], axis=2)
+        grads = _hat_gradients(self.nodes, self.triangles, self._areas)
         grads.setflags(write=False)
         return grads, self._areas
 
@@ -216,10 +209,10 @@ class Mesh:
         the angles a, b opposite it.  K is an M-matrix exactly when no off[e]
         is positive.  diag[i] sums A_t |grad(lambda_i)|^2 over the triangles
         at node i, in triangle order.  The per-triangle products come from
-        _local_products; on a refinement of a polygon mesh they are copies
-        of the coarsest mesh's, so the signs of off are settled there (see
-        the module docstring).  Computed on each call and not cached: the
-        operators built from them are.
+        _local_products; on a refinement they are copies of the coarsest
+        mesh's and the rim children's, so the signs of off are settled
+        there (see the module docstring).  Computed on each call and not
+        cached: the operators built from them are.
         """
         sides, corners = self._local_products()
         # np.add.at sums in index order from zero, as np.bincount does, but
@@ -235,22 +228,19 @@ class Mesh:
 
     def _gradient_blocks(self) -> list:
         """The hat gradients in row blocks of the triangles, as a list of
-        (grads, corners, scale): in block j, whose rows are
-        j * len(grads) .. (j + 1) * len(grads) - 1, the gradient of corner
-        i's hat function is scale * grads[:, corners[i]].  One block of
-        this mesh's own hat_gradients here; a refinement of a polygon mesh
-        has four blocks on its parent's (see _CHILD_CORNERS)."""
-        return [(self.hat_gradients[0], (0, 1, 2), 1.0)]
+        (rows, grads, corners, scale): on the triangles[rows], the gradient
+        of corner i's hat function is scale * grads[:, corners[i]].  One
+        block of this mesh's own hat_gradients here; a refinement has four
+        slices on its parent's (see _CHILD_CORNERS), then its rim's rows,
+        which replace what the slices give them."""
+        return [(slice(None), self.hat_gradients[0], (0, 1, 2), 1.0)]
 
     def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
         """The local stiffness A_t grad(lambda_i).grad(lambda_j) of each
         triangle: the (3, M) products on the sides 01, 12, 20, ordered by
         side first as _edge_inverse is, and the (M, 3) products at the
         corners (i = j).  Not cached."""
-        grads, areas = self.hat_gradients
-        sides = np.einsum("tbk,tbk->tb", grads, grads[:, [1, 2, 0]]) * areas[:, None]
-        corners = np.einsum("tbk,tbk->tb", grads, grads) * areas[:, None]
-        return sides.T, corners
+        return _stiffness_products(*self.hat_gradients)
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -300,35 +290,64 @@ class Mesh:
         return lumped
 
 
-class _SimilarRefinement(Mesh):
-    """A uniform refinement of a polygon mesh (refine_uniform): every child
-    triangle is similar to its parent (_CHILD_CORNERS), so its area, hat
-    gradients and local stiffness products are the parent's, copied and
-    scaled by exact powers of two.  A child's area is positive when its
-    parent's is, so it is not checked again."""
+class _Refinement(Mesh):
+    """A uniform refinement (refine_uniform).  Every child triangle but
+    those of the rim is similar to its parent (_CHILD_CORNERS), so its
+    area, hat gradients and local stiffness products are the parent's,
+    copied and scaled by exact powers of two; its area is positive when
+    its parent's is, so it is not checked again.
+
+    rim: the sorted int32 rows of the children that have a corner at a
+    projected boundary midpoint, which are not similar to their parents;
+    empty on a polygon.  Their areas are computed from the nodes and
+    checked positive, and their hat gradients and local products are
+    computed and cached (_rim_geometry); hat_gradients, _local_products
+    and gradient_field overwrite the copied rows with them."""
+
+    def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix],
+                 edges: tuple, rim: np.ndarray):
+        rim.setflags(write=False)
+        self._rim = rim
+        super().__init__(nodes, triangles, coarse, edges)
 
     def _triangle_areas(self, nodes, triangles) -> np.ndarray:
-        return np.tile(0.25 * self.coarse._areas, 4)
+        areas = np.tile(0.25 * self.coarse._areas, 4)
+        areas[self._rim] = _checked_areas(nodes, triangles, self._rim)
+        return areas
+
+    @cached_property
+    def _rim_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rim's (R, 3, 2) hat gradients and its local products, (3, R)
+        on the sides and (R, 3) at the corners, computed from the nodes."""
+        areas = self._areas[self._rim]
+        grads = _hat_gradients(self.nodes, self.triangles[self._rim], areas)
+        grads.setflags(write=False)
+        return (grads,) + _stiffness_products(grads, areas)
 
     @property
     def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """Mesh.hat_gradients, gathered from the coarse mesh's on each call
         and not cached: +-2 times the parent's, in the child's corner
-        order."""
+        order, with the rim's own."""
         grads = _children(self.coarse.hat_gradients[0], _CHILD_GRADIENT_SCALES)
+        grads[self._rim] = self._rim_geometry[0]
         grads.setflags(write=False)
         return grads, self._areas
 
     def _gradient_blocks(self) -> list:
-        grads = self.coarse.hat_gradients[0]
-        return [(grads, corners, scale)
-                for corners, scale in zip(_CHILD_CORNERS, _CHILD_GRADIENT_SCALES)]
+        grads, m = self.coarse.hat_gradients[0], self.coarse.n_triangles
+        blocks = zip(_CHILD_CORNERS, _CHILD_GRADIENT_SCALES)
+        return ([(slice(j * m, (j + 1) * m), grads, corners, scale)
+                 for j, (corners, scale) in enumerate(blocks)]
+                + [(self._rim, self._rim_geometry[0], (0, 1, 2), 1.0)])
 
     def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
         sides, corners = self.coarse._local_products()
         # sides[_CHILD_CORNERS.T][i, j] holds side _CHILD_CORNERS[j][i] of
         # every parent, side i of child block j: (3, 4, M) -> (3, 4M).
-        return sides[_CHILD_CORNERS.T].reshape(3, -1), _children(corners)
+        sides, corners = sides[_CHILD_CORNERS.T].reshape(3, -1), _children(corners)
+        sides[:, self._rim], corners[self._rim] = self._rim_geometry[1:]
+        return sides, corners
 
 
 def _children(values: np.ndarray, scales=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
@@ -421,6 +440,36 @@ def _edge_topology(triangles: np.ndarray, n_nodes: int):
 def _corner_coordinates(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
     """The (M, 3) x and y coordinates of each triangle's corners."""
     return nodes[:, 0][triangles], nodes[:, 1][triangles]
+
+
+def _checked_areas(nodes, triangles, rows=None) -> np.ndarray:
+    """The areas of triangles[rows], or of every row when rows is None,
+    checked positive; the error names the row of triangles."""
+    areas = _signed_areas(nodes, triangles if rows is None else triangles[rows])
+    if np.any(areas <= 0.0):
+        bad = int(np.argmax(areas <= 0.0))
+        raise ValueError(f"triangle {bad if rows is None else rows[bad]} "
+                         "is degenerate or flipped")
+    return areas
+
+
+def _hat_gradients(nodes, triangles, areas) -> np.ndarray:
+    """The (M, 3, 2) hat gradients of the triangles with the given areas:
+    grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x)."""
+    x, y = _corner_coordinates(nodes, triangles)
+    # Column i holds p_{i+2} - p_{i+1}.
+    ex = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    ey = y[:, [2, 0, 1]] - y[:, [1, 2, 0]]
+    twice = (2.0 * areas)[:, None]
+    return np.stack([-ey / twice, ex / twice], axis=2)
+
+
+def _stiffness_products(grads, areas) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh._local_products of triangles with the given (M, 3, 2) hat
+    gradients and (M,) areas."""
+    sides = np.einsum("tbk,tbk->tb", grads, grads[:, [1, 2, 0]]) * areas[:, None]
+    corners = np.einsum("tbk,tbk->tb", grads, grads) * areas[:, None]
+    return sides.T, corners
 
 
 def _signed_areas(nodes, triangles) -> np.ndarray:
@@ -678,10 +727,11 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
 
     For disc domains, midpoints of boundary edges are projected onto the
     circle so refinement never flattens the boundary (the prolongation is
-    still midpoint interpolation).  Parent nodes keep their indices.  On a
-    polygon every child is similar to its parent, and the refined mesh
-    inherits its areas, hat gradients and local stiffness from mesh (see
-    the module docstring).
+    still midpoint interpolation).  Parent nodes keep their indices.  The
+    refined mesh, a _Refinement, inherits its areas, hat gradients and
+    local stiffness from mesh (see the module docstring), except on its
+    rim: on a disc, the children at a projected midpoint, 3 per boundary
+    edge of mesh, which compute theirs from the nodes.
     """
     if 4 * mesh.n_triangles > TRIANGLE_BUDGET:
         raise MeshBudgetError(
@@ -692,12 +742,18 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
     uniq, inverse = mesh._edges_unique, mesh._edge_inverse
     mids = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
 
+    rim = np.empty(0, dtype=np.int32)
     if isinstance(domain, Disc):
         on_boundary = mesh._edge_counts == 1
         c = np.array([domain.center.x1, domain.center.x2])
         rel = mids[on_boundary] - c
         norm = np.hypot(rel[:, 0], rel[:, 1])
         mids[on_boundary] = c + domain.radius * rel / norm[:, None]
+        # The rim: the midpoint of side k of parent t is a corner of its
+        # children k, k + 1 (mod 3) and 3, rows j m + t.
+        side, t = np.divmod(np.flatnonzero(on_boundary[inverse]), m)
+        rim = np.unique(np.concatenate([side * m + t, (side + 1) % 3 * m + t,
+                                        3 * m + t])).astype(np.int32)
 
     mid_idx = mesh.n_nodes + np.arange(uniq.shape[0], dtype=np.int32)
     m01 = mid_idx[inverse[:m]]
@@ -718,9 +774,8 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
          np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
          np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
         shape=(n + n_edges, n))
-    child = Mesh if isinstance(domain, Disc) else _SimilarRefinement
-    return child(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
-                 _refined_edges(mesh))
+    return _Refinement(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
+                       _refined_edges(mesh), rim)
 
 
 def _refined_edges(mesh: Mesh) -> tuple:

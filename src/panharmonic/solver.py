@@ -317,22 +317,24 @@ def gradient_field(mesh, field: ScalarField) -> GradientField:
 
     The gradients are read block by block (Mesh._gradient_blocks), one
     corner column and one (m,) gather of corner values at a time.  On a
-    refinement of a polygon mesh each block is the parent's gradients
-    scaled by +-2, so neither the (M, 3, 2) gradients nor the (M, 3)
-    corner values are formed.
+    refinement each block is the parent's gradients scaled by +-2, and a
+    disc's rim rows are then summed again from the rim's own cached
+    gradients; neither the (M, 3, 2) gradients nor the (M, 3) corner
+    values are formed.
     """
     if field.mesh is not mesh or field.values.shape[0] != mesh.n_nodes:
         raise ValueError("field is not defined on this mesh")
     vectors = np.zeros((mesh.n_triangles, 2))
-    start = 0
-    for grads, corners, scale in mesh._gradient_blocks():
-        stop = start + grads.shape[0]
-        block, tris = vectors[start:stop], mesh.triangles[start:stop]
+    for rows, grads, corners, scale in mesh._gradient_blocks():
+        # A slice of rows is summed in place (numpy skips the assignment of
+        # a view to itself); the rim's rows are summed apart and replaced.
+        block = vectors[rows] if isinstance(rows, slice) else np.zeros((rows.size, 2))
+        tris = mesh.triangles[rows]
         for i, corner in enumerate(corners):
             term = grads[:, corner] * scale
             term *= field.values[tris[:, i]][:, None]
             block += term
-        start = stop
+        vectors[rows] = block
     return GradientField(mesh, vectors)
 
 

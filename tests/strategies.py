@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from panharmonic.geometry import Polygon, l_shape
+from panharmonic.geometry import Disc, Point2, Polygon, l_shape
+from panharmonic.mesh import _disc_web, refine_uniform
 
 
 @st.composite
@@ -71,3 +72,21 @@ def rotated_l_shape(theta=0.7, scale=1.3) -> Polygon:
     longer exact in floating point, as in the bench's similarity copies."""
     c, s = math.cos(theta), math.sin(theta)
     return Polygon(l_shape().vertices @ (scale * np.array([[c, s], [-s, c]])))
+
+
+@st.composite
+def refined_discs(draw):
+    """(disc, root rings, refinements): a similarity copy of the unit disc,
+    its centre within about 14 radii of the origin, and a web of 1 to 12
+    rings refined 1 to 3 times (refined_web)."""
+    radius = draw(st.floats(1e-3, 1e3))
+    cx, cy = (radius * draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    return Disc(Point2(cx, cy), radius), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+
+
+def refined_web(disc, rings, refinements):
+    """The disc's web of the given rings, refined uniformly."""
+    m = _disc_web(disc, rings)
+    for _ in range(refinements):
+        m = refine_uniform(m, disc)
+    return m

@@ -395,3 +395,25 @@ class TestConfigErrors:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "thin.json" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_for_every_call(self, domains, tmp_path):
+        # In-process calls share one parser.  A repeated --mu does not carry
+        # into the next call (it would make the second sweep's list
+        # 5, 10, 5, 10, which is not ascending): exit codes and files agree.
+        cli._build_parser.cache_clear()
+        runs = []
+        for tag in ("first", "second"):
+            out = tmp_path / tag
+            codes = [_run(["check-convexity", "--domain", domains["lshape"],
+                           "--mu", "5", "--mu", "10", "--target-h", "0.1",
+                           "--output-dir", str(out)]),
+                     _run(["check-convexity", "--domain", domains["lshape"],
+                           "--mu", "10", "--mu", "5", "--output-dir", str(out / "bad")])]
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+            runs.append((codes, files))
+        assert runs[0][0] == runs[1][0] == [0, 2]
+        assert runs[0][1] == runs[1][1] and set(runs[0][1]) == {"report.json", "margins.csv"}
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)

@@ -9,6 +9,7 @@ are the actual correctness checks.
 
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -26,8 +27,8 @@ from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError, _disc_web,
                               _signed_areas, chain_root, mesh_quality,
                               refine_uniform, save_mesh_text, triangulate)
 from panharmonic.solver import ResolutionWarning, solve_dirichlet, solve_neumann
-from strategies import (comb, combs, rotated_l_shape, skyline, skylines,
-                        star_polygons)
+from strategies import (comb, combs, refined_discs, refined_web, rotated_l_shape,
+                        skyline, skylines, star_polygons)
 
 
 class TestSquare:
@@ -705,10 +706,11 @@ class TestSimilarRefinement:
 
 
 class TestInheritedGeometry:
-    """A uniform refinement of a polygon mesh copies its areas, hat
-    gradients and local stiffness from its parent.  At every level of the
-    chain they match what a fresh Mesh(nodes, triangles) computes from the
-    nodes: within rounding in general, bit for bit on dyadic domains."""
+    """A uniform refinement copies its areas, hat gradients and local
+    stiffness from its parent, except on a disc's rim, which computes
+    them from its nodes.  At every level of the chain they match what a
+    fresh Mesh(nodes, triangles) computes from the nodes: within rounding
+    in general, bit for bit on dyadic polygons."""
 
     ROTATED_L = rotated_l_shape()
 
@@ -737,10 +739,57 @@ class TestInheritedGeometry:
                 raise
             reject()  # nearly collinear corners
         assert fine.coarse is not None
+        self.check_levels(fine)
+
+    def check_levels(self, fine):
         for level, fresh in self.levels(fine):
             for got, ref in zip(self.geometry(level), self.geometry(fresh)):
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(refined_discs())
+    @example((unit_disc(), 12, 3))
+    @example((Disc(Point2(1e4, -1e4), 1e3), 1, 3))
+    def test_disc_matches_computed_geometry(self, chain):
+        # The rim, the children with a corner at a projected boundary
+        # midpoint (a boundary node the parent does not have), is 3 rows
+        # per parent boundary edge.
+        fine = refined_web(*chain)
+        self.check_levels(fine)
+        level = fine
+        while level.coarse is not None:
+            parent, tris = level.coarse, level.triangles
+            assert level._rim.size == 3 * np.count_nonzero(parent._edge_counts == 1)
+            projected = level.boundary_node[tris] & (tris >= parent.n_nodes)
+            assert np.array_equal(level._rim, np.flatnonzero(projected.any(axis=1)))
+            level = parent
+
+    def test_polygon_has_no_rim(self, l_shape):
+        level = triangulate(l_shape, 0.05)
+        assert level.coarse is not None
+        while level.coarse is not None:
+            assert level._rim.size == 0
+            level = level.coarse
+
+    def test_flipped_rim_child_names_its_row(self, unit_disc):
+        # A projected midpoint moved to the centre flips rim children only;
+        # the error names the first one by its row in the whole mesh, not
+        # in the rim.
+        fine = refine_uniform(_disc_web(unit_disc, 3), unit_disc)
+        parent = fine.coarse
+        nodes = fine.nodes.copy()
+        nodes[parent.n_nodes + np.flatnonzero(parent._edge_counts == 1)[-1]] = nodes[0]
+        bad = np.flatnonzero(_signed_areas(nodes, fine.triangles) <= 0.0)
+        assert bad.size and np.isin(bad, fine._rim).all()
+        k = int(bad[0])
+        assert np.searchsorted(fine._rim, k) != k
+        edges = (fine._edges_unique, fine._edge_inverse, fine._edge_counts)
+        with pytest.raises(ValueError, match=f"^triangle {k} is degenerate or flipped$"):
+            meshing._Refinement(nodes, fine.triangles, (parent, fine.prolongation),
+                                edges, fine._rim)
+        with pytest.raises(ValueError, match=re.escape(f"triangle {k} ")):
+            Mesh(nodes, fine.triangles)
 
     @pytest.mark.parametrize("name", ["square", "l_shape"])
     def test_dyadic_domains_bit_identical(self, name):

@@ -24,7 +24,7 @@ from panharmonic import solver
 from panharmonic.analysis import Ladder, condition_margin
 from panharmonic.geometry import unit_disc, unit_square, l_shape
 from panharmonic.geometry import Polygon, domain_scale, regular_polygon
-from panharmonic.mesh import Mesh, triangulate, refine_uniform
+from panharmonic.mesh import Mesh, _disc_web, triangulate, refine_uniform
 from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 ConvergenceError, ResolutionWarning,
                                 ScalarField, SpdSystem, assemble,
@@ -32,7 +32,8 @@ from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 solve_dirichlet, solve_neumann,
                                 solve_spd_system)
 from panharmonic.special import bessel_i0, bessel_i1, log_bessel_i0
-from strategies import combs, rotated_l_shape, skyline, skylines, star_polygons
+from strategies import (combs, refined_discs, refined_web, rotated_l_shape, skyline,
+                        skylines, star_polygons)
 
 
 def assert_same_csr(a, b):
@@ -593,11 +594,17 @@ class TestGradient:
         assert grads.magnitudes() == pytest.approx(math.sqrt(13.0), rel=1e-12)
 
     def test_refined_chain_keeps_no_gradients(self, l_shape):
+        self.check_chain_keeps_no_gradients(triangulate(l_shape, 0.05))
+
+    def test_refined_disc_chain_keeps_no_gradients(self, unit_disc):
+        self.check_chain_keeps_no_gradients(triangulate(unit_disc, 0.05))
+
+    @staticmethod
+    def check_chain_keeps_no_gradients(m):
         # After a solve and its gradients, no level above the coarse mesh
         # holds an (M, 3, 2) array, and the topology stays int32 / uint8.
         # No level keeps its (E,) stiffness weights either: K_II and K 1 are
         # all a Dirichlet solve reads.
-        m = triangulate(l_shape, 0.05)
         gradient_field(m, solve_dirichlet(m, 5.0))
         levels = [m]
         while levels[-1].coarse is not None:
@@ -621,24 +628,37 @@ class TestGradient:
     @given(st.one_of(skylines(), combs(), star_polygons()))
     @example(rotated_l_shape())
     def test_refined_chain_matches_einsum(self, polygon):
-        # A refined level's gradients are read from its parent's, block by
-        # block; at every level they equal the einsum over the level's own
-        # hat_gradients.  np.array_equal, not bytes: a zero's sign is not
-        # compared, and magnitudes do not see it.
         try:
             fine = triangulate(polygon, 0.02 * domain_scale(polygon))
         except ValueError as exc:
             if "ear clipping" not in str(exc):
                 raise
             reject()  # nearly collinear corners
+        self.check_chain_matches_einsum(fine)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(refined_discs())
+    def test_refined_disc_chain_matches_einsum(self, chain):
+        self.check_chain_matches_einsum(refined_web(*chain))
+
+    @staticmethod
+    def check_chain_matches_einsum(fine):
+        # A refined level's gradients are read from its parent's, block by
+        # block, and a disc's rim from its own; at every level they equal
+        # the einsum over the level's own hat_gradients.  np.array_equal,
+        # not bytes: a zero's sign is not compared, and magnitudes do not
+        # see it.
+        # The field is smooth on the domain's bounding box taken to [0, 1].
+        lo = fine.nodes.min(axis=0)
+        scale = (fine.nodes.max(axis=0) - lo).max()
         level, refined = fine, 0
         while level is not None:
-            x, y = level.nodes[:, 0], level.nodes[:, 1]
+            x, y = ((level.nodes - lo) / scale).T
             values = np.exp(-x) * np.cos(3.0 * y) + 0.1 * x * y
             got = gradient_field(level, ScalarField(level, 1.0, values, True, "dirichlet"))
             ref = np.einsum("ti,tik->tk", values[level.triangles], level.hat_gradients[0])
             assert np.array_equal(got.vectors, ref)
-            refined += isinstance(level, meshing._SimilarRefinement)
+            refined += isinstance(level, meshing._Refinement)
             level = level.coarse
         assert refined >= 1
 
@@ -669,7 +689,8 @@ def test_save_field_text(tmp_path, unit_square):
 
 
 class TestMemoryPeaks:
-    """tracemalloc peaks on the L-shape refined to 262,144 triangles, as
+    """tracemalloc peaks on the L-shape refined to 262,144 triangles, and
+    for interior_stiffness and gradient_field on a refined disc, as
     multiples of what each call returns; deterministic for a given numpy.
     Measured: interior_stiffness, its stiffness weights included, 2.90x
     its K_II; gradient_field 2.27x its vectors; condition_margin 2.03x its
@@ -695,13 +716,35 @@ class TestMemoryPeaks:
         values = np.exp(-3.0 * np.hypot(m.nodes[:, 0], m.nodes[:, 1]))
         return m, ScalarField(m, 10.0, values, True, "dirichlet")
 
+    @pytest.fixture()
+    def disc(self):
+        """The 12-ring web of the unit disc refined 4 times, 221,184
+        triangles, built afresh for each test: its parents cache their rim
+        geometry but no gradients."""
+        dom = unit_disc()
+        m = _disc_web(dom, 12)
+        for _ in range(4):
+            m = refine_uniform(m, dom)
+        values = np.exp(-3.0 * np.hypot(m.nodes[:, 0], m.nodes[:, 1]))
+        return m, ScalarField(m, 10.0, values, True, "dirichlet")
+
     def test_interior_stiffness(self, large):
-        m, _ = large
+        self.check_interior_stiffness(*large)
+
+    def test_interior_stiffness_disc(self, disc):
+        self.check_interior_stiffness(*disc)
+
+    def check_interior_stiffness(self, m, _):
         k, peak = self.peak(lambda: m.interior_stiffness)
         assert peak <= 3.3 * sum(a.nbytes for a in (k.data, k.indices, k.indptr))
 
     def test_gradient_field(self, large):
-        m, field = large
+        self.check_gradient_field(*large)
+
+    def test_gradient_field_disc(self, disc):
+        self.check_gradient_field(*disc)
+
+    def check_gradient_field(self, m, field):
         grads, peak = self.peak(lambda: gradient_field(m, field))
         assert peak <= 3.0 * grads.vectors.nbytes
 

@@ -38,7 +38,7 @@ from .geometry import (GEOMETRIC_TOL, Disc, Domain, Point2, Polygon,
                        distance_to_boundary, domain_scale, domain_to_dict,
                        is_convex_polygon, probe_fits)
 from . import mesh as meshing
-from .mesh import MeshBudgetError, chain_root, refine_uniform, triangulate
+from .mesh import MeshBudgetError, chain_root, refine_until, triangulate
 from .solver import (CG_TOLERANCE, RESOLUTION_LIMIT, GradientField,
                      ScalarField, gradient_field, solve_dirichlet)
 
@@ -262,14 +262,14 @@ def decay_envelope_fit(fields, domain: Domain, rho: float) -> DecayEnvelope:
 
 class Ladder:
     """The meshes of an ascending mu sweep: iterating yields (mu, mesh), the
-    mesh refined until mu * h_max <= RESOLUTION_LIMIT and it has an interior
-    node.  The chain starts at triangulate(domain, target_h), or when
-    target_h is None at chain_root(domain, RESOLUTION_LIMIT / mu_list[-1]),
-    for every domain.  Each refinement at most halves h_max; once the budget
-    cannot fit the refinements a mu needs by that bound, iteration stops
-    without building them.  stopped_at is then that mu, and mesh the last
-    mesh yielded.  The constructor checks mu_list (ValueError unless it is
-    nonempty, finite, positive and strictly ascending) before it meshes."""
+    mesh refined (refine_until) until mu * h_max <= RESOLUTION_LIMIT and it
+    has an interior node.  The chain starts at triangulate(domain, target_h),
+    or when target_h is None at chain_root(domain, RESOLUTION_LIMIT /
+    mu_list[-1]), for every domain.  At the first mu that the budget cannot
+    resolve, iteration stops without refining: stopped_at is then that mu,
+    and mesh the last mesh yielded.  The constructor checks mu_list
+    (ValueError unless it is nonempty, finite, positive and strictly
+    ascending) before it meshes."""
 
     def __init__(self, domain: Domain, mu_list, target_h: Optional[float] = None):
         mus = [float(m) for m in mu_list]
@@ -287,20 +287,14 @@ class Ladder:
 
     def __iter__(self):
         for mu in self.mu_list:
-            mesh = self.mesh
             try:
-                while mu * mesh.h_max > RESOLUTION_LIMIT or mesh.boundary_node.all():
-                    # floor(log4(budget / n_triangles)) more refinements fit.
-                    fit = meshing.TRIANGLE_BUDGET // mesh.n_triangles
-                    more = (fit.bit_length() - 1) // 2
-                    if more < 1 or mu * mesh.h_max > RESOLUTION_LIMIT * 2.0**more:
-                        raise MeshBudgetError(f"resolving mu={mu:g}")
-                    mesh = refine_uniform(mesh, self.domain)
+                self.mesh = refine_until(self.mesh, self.domain,
+                                         lambda h: mu * h > RESOLUTION_LIMIT,
+                                         interior=True)
             except MeshBudgetError:
                 self.stopped_at = mu
                 return
-            self.mesh = mesh
-            yield mu, mesh
+            yield mu, self.mesh
 
 
 def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,

@@ -11,9 +11,10 @@ Subcommands:
 Every command that solves (solve, varadhan, check-convexity) walks one
 analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
 the root of the largest mu's chain, mesh.chain_root) and refines as mu
-climbs, so each field is solved on a mesh that resolves it.  At the first
-mu the triangle budget cannot resolve, the command keeps what completed
-and exits 1.
+climbs (mesh.refine_until), so each field is solved on a mesh that
+resolves it.  A first mesh over the triangle budget exits 1 before it is
+refined; at the first mu the budget cannot resolve, the command keeps
+what completed and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations

@@ -15,9 +15,10 @@ node lies exactly on it, and every level stays nonobtuse.
 
 Every refinement keeps the Mesh it was built from (Mesh.coarse) and the
 midpoint interpolation from its nodes (Mesh.prolongation): one chain per
-domain, nested except at a disc's projected boundary midpoints.  The
-solver's multigrid preconditioner runs over that chain of meshes, each
-level with the operators its own mesh caches.
+domain, nested except at a disc's projected boundary midpoints, and grown
+by one loop, refine_until, which refuses what the budget cannot fit before
+building it.  The solver's multigrid preconditioner runs over that chain
+of meshes, each level with the operators its own mesh caches.
 
 Roots and directly built meshes compute their geometry from their nodes,
 refinements copy it, and the rim is patched.  Each child triangle of a
@@ -67,7 +68,7 @@ _CHILD_CORNERS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 0, 1]])
 _CHILD_GRADIENT_SCALES = (2.0, 2.0, 2.0, -2.0)
 # The ring rule for discs: a web's longest edge, the first sector diagonal of
 # an annulus, is sqrt(1 + (pi/3)^2) ~ 1.448 ring spacings, so a disc needs
-# R = ceil(1.448 radius / target_h) rings.  _ring_rule alone gives R0 2^L,
+# R = ceil(1.448 radius / target_h) rings.  _ring_rule alone picks R0 2^L,
 # the fewest at or above R with a root of R0 <= 12 rings (397 interior nodes
 # at most); over the budget, the most at that L that fit within 1.5 target_h.
 _DISC_EDGE_FACTOR = 1.4480
@@ -659,17 +660,17 @@ def _grid_mesh(polygon: Polygon) -> Mesh:
                 renumbered.reshape(cells.shape))
 
 
-def _ring_rule(disc: Disc, target_h: float) -> tuple[int, int]:
-    """(R0 2^L, L): the ring rule's count for target_h.  Over the budget it
-    is the most rings at depth L that fit, if their longest edge keeps
-    1.5 target_h; otherwise the count stays over, and triangulate refuses."""
+def _ring_rule(disc: Disc, target_h: float) -> int:
+    """R0, the root's count of the ring rule's R0 2^L rings for target_h.
+    Over the budget R0 2^L is the most rings at depth L that fit, if their
+    longest edge keeps 1.5 target_h; otherwise refine_until refuses."""
     need = max(2, math.ceil(_DISC_EDGE_FACTOR * disc.radius / target_h))
     levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
     rings = math.ceil(need / 2**levels) << levels
     fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
     if rings > fits and _DISC_EDGE_FACTOR * disc.radius <= 1.5 * target_h * fits:
         rings = fits
-    return rings, levels
+    return rings >> levels
 
 
 def chain_root(domain: Domain, target_h: float) -> Mesh:
@@ -680,8 +681,7 @@ def chain_root(domain: Domain, target_h: float) -> Mesh:
     replaces when it has an obtuse triangle (mesh_quality's test) and every
     side is axis-parallel.  A polygon's root does not depend on target_h."""
     if isinstance(domain, Disc):
-        rings, levels = _ring_rule(domain, target_h)
-        return _disc_web(domain, rings >> levels)
+        return _disc_web(domain, _ring_rule(domain, target_h))
     vertices = domain.vertices
     mesh = Mesh(vertices, _lawson_flip(vertices, _ear_clip(vertices)))
     sides = np.roll(vertices, -1, axis=0) - vertices
@@ -693,31 +693,33 @@ def chain_root(domain: Domain, target_h: float) -> Mesh:
 
 def triangulate(domain: Domain, target_h: float) -> Mesh:
     """Mesh the domain with longest edge at most 1.5 * target_h: chain_root
-    refined uniformly.
+    refined by refine_until, which refuses over the budget before refining.
 
-    Polygons: refined until the bound holds; the result is nested in the
-    chain down to the root and has exactly its angles, so a nonobtuse root
-    gives an M-matrix at every level.  Discs: refined to _ring_rule's count
-    (_DISC_EDGE_FACTOR), boundary nodes exactly on the circle, node 0 at
-    its centre; a count still over the budget raises MeshBudgetError before
-    anything is built.
+    Polygons: the result is nested in the chain down to the root and has
+    exactly its angles, so a nonobtuse root gives an M-matrix at every
+    level.  Discs: it has _ring_rule's R0 2^L rings (_DISC_EDGE_FACTOR),
+    boundary nodes exactly on the circle, node 0 at its centre.
     """
     if not (target_h > 0.0 and math.isfinite(target_h)):
         raise ValueError("target_h must be positive and finite")
     if target_h >= 0.5 * domain_scale(domain):
         raise ValueError("target_h must be below half the bounding-box diagonal")
-    if isinstance(domain, Disc):
-        rings, levels = _ring_rule(domain, target_h)
-        if 6 * rings * rings > TRIANGLE_BUDGET:
+    return refine_until(chain_root(domain, target_h), domain,
+                        lambda h: h > 1.5 * target_h)
+
+
+def refine_until(mesh: Mesh, domain: Domain, too_coarse, interior: bool = False) -> Mesh:
+    """mesh refined uniformly while too_coarse(h_max) holds or, with
+    interior, while it has no interior node.  Each refinement at most halves
+    h_max, so once the floor(log4(TRIANGLE_BUDGET / n_triangles))
+    refinements that fit could not end the loop, it raises MeshBudgetError
+    before building them."""
+    while too_coarse(mesh.h_max) or (interior and mesh.boundary_node.all()):
+        more = ((TRIANGLE_BUDGET // mesh.n_triangles).bit_length() - 1) // 2
+        if more < 1 or too_coarse(mesh.h_max / 2**more):
             raise MeshBudgetError(
-                f"disc mesh at target_h={target_h:g} needs {6 * rings * rings} "
-                f"triangles, over the budget of {TRIANGLE_BUDGET}")
-        mesh = _disc_web(domain, rings >> levels)
-        for _ in range(levels):
-            mesh = refine_uniform(mesh, domain)
-        return mesh
-    mesh = chain_root(domain, target_h)
-    while mesh.h_max > 1.5 * target_h:
+                f"{mesh.n_triangles} triangles at h_max={mesh.h_max:g} cannot be refined "
+                f"far enough within the budget of {TRIANGLE_BUDGET} triangles")
         mesh = refine_uniform(mesh, domain)
     return mesh
 

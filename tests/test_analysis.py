@@ -325,7 +325,7 @@ class TestLadder:
         # ladder stops without refining, and mesh stays the last it yielded.
         ladder = Ladder(unit_disc, [1.0, 2000.0], 0.3)
         refined = []
-        monkeypatch.setattr(analysis, "refine_uniform",
+        monkeypatch.setattr(meshing, "refine_uniform",
                             lambda *args: refined.append(args))
         assert [mu for mu, _ in ladder] == [1.0]
         assert ladder.stopped_at == 2000.0

@@ -237,23 +237,25 @@ class TestCheckConvexity:
         # root of 448.
         assert len(self.auto_rows(unit_disc(), tmp_path, "1", "150")) == 2
 
-    @pytest.mark.parametrize("domain, mus, rows", [
-        (l_shape(), ("2000",), 0), (unit_disc(), ("1", "250"), 1)],
-        ids=["lshape-2000", "disc-1-250"])
-    def test_auto_budget_stop_builds_nothing_more(self, domain, mus, rows,
-                                                  tmp_path, monkeypatch,
+    @pytest.mark.parametrize("domain, mus, target_h, rows", [
+        (l_shape(), ("2000",), "auto", 0), (unit_disc(), ("1", "250"), "auto", 1),
+        (l_shape(), ("5",), "0.0005", 0)],
+        ids=["lshape-2000", "disc-1-250", "lshape-5-h0.0005"])
+    def test_auto_budget_stop_builds_nothing_more(self, domain, mus, target_h,
+                                                  rows, tmp_path, monkeypatch,
                                                   capsys):
         # At least log2(mu h_max / 0.5) more refinements, 4 times the
         # triangles each, are over the budget: the sweep stops without
         # refining.  The disc's 9-ring root (of 576 rings, the most that
-        # fit for 0.5/250) resolves mu = 1 as it is.
+        # fit for 0.5/250) resolves mu = 1 as it is.  A first mesh over the
+        # budget (the L-shape at target_h 0.0005 needs 4^13 triangles)
+        # stops the same way, before any mu.
         path = tmp_path / "domain.json"
         dump_domain(domain, path)
         refined = []
-        for module in (meshing, analysis):
-            monkeypatch.setattr(module, "refine_uniform",
-                                lambda *args: refined.append(args))
-        argv = ["check-convexity", "--domain", str(path),
+        monkeypatch.setattr(meshing, "refine_uniform",
+                            lambda *args: refined.append(args))
+        argv = ["check-convexity", "--domain", str(path), "--target-h", target_h,
                 "--output-dir", str(tmp_path / "o")]
         for mu in mus:
             argv += ["--mu", mu]

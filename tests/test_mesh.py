@@ -601,14 +601,80 @@ class TestDiscChain:
         if not isinstance(domain, Disc):
             assert np.array_equal(chain_root(domain, 1e3).nodes, root.nodes)
 
-    def test_budget_checked_before_building(self, unit_disc, monkeypatch):
-        calls = []
-        for name in ("_disc_web", "refine_uniform"):
-            monkeypatch.setattr(meshing, name,
-                                lambda *args, name=name: calls.append(name))
+    @pytest.mark.parametrize("domain, target_h", [
+        (unit_disc(), 1e-4), (l_shape(), 0.0005)], ids=["disc", "lshape"])
+    def test_budget_checked_before_building(self, domain, target_h, monkeypatch):
+        # ~10^8 and 4^13 = 67,108,864 triangles: refine_until refuses
+        # before the first refinement, having built only the root (a disc's
+        # web of at most 12 rings, 864 triangles).
+        roots, refined = [], []
+
+        def root(*args):
+            roots.append(chain_root(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(meshing, "chain_root", root)
+        monkeypatch.setattr(meshing, "refine_uniform",
+                            lambda *args: refined.append(args))
         with pytest.raises(MeshBudgetError):
-            triangulate(unit_disc, 1e-4)
-        assert calls == []
+            triangulate(domain, target_h)
+        assert [m.n_triangles <= 6 * 12**2 for m in roots] == [True]
+        assert refined == []
+
+
+class TestRefineUntil:
+    """triangulate is refine_until on chain_root: it stops where the ring
+    rule and the reference loop do, and refuses over the budget.  The budget
+    is patched small so that the band and the refusals come cheap."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(1e-3, 1e3), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+           st.integers(13, 120), st.data())
+    def test_disc_chain_follows_ring_rule(self, radius, cx, cy, fit_rings, data):
+        disc = Disc(Point2(radius * cx, radius * cy), radius)
+        budget = 6 * fit_rings**2
+        # target_h for about x rings, the band near fit_rings drawn often.
+        x = data.draw(st.one_of(st.floats(1.1, 1.6 * fit_rings),
+                                st.floats(0.9 * fit_rings, 1.1 * fit_rings)))
+        target_h = 1.448 * radius / x
+        need = max(2, math.ceil(1.448 * radius / target_h))
+        rings = min(r << k for r in range(1, 13) for k in range(12) if r << k >= need)
+        depth = min(k for k in range(12) if 12 << k >= need)
+        fits = (math.isqrt(budget // 6) >> depth) << depth
+        if rings > fits and 1.448 * radius <= 1.5 * target_h * fits:
+            rings = fits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meshing, "TRIANGLE_BUDGET", budget)
+            if 6 * rings**2 > budget:
+                with pytest.raises(MeshBudgetError):
+                    triangulate(disc, target_h)
+                return
+            m = triangulate(disc, target_h)
+        assert m.n_triangles == 6 * rings**2
+        assert m.h_max <= 1.5 * target_h
+        assert m.coarse is None or m.coarse.h_max > 1.5 * target_h
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), star_polygons()), st.floats(1.1, 8.0),
+           st.integers(1_000, 50_000))
+    def test_polygon_chain_matches_reference_loop(self, polygon, halvings, budget):
+        target_h = domain_scale(polygon) * 2.0**-halvings
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meshing, "TRIANGLE_BUDGET", budget)
+            reference = chain_root(polygon, target_h)
+            try:
+                while reference.h_max > 1.5 * target_h:
+                    reference = refine_uniform(reference, polygon)
+            except MeshBudgetError:
+                with pytest.raises(MeshBudgetError):
+                    triangulate(polygon, target_h)
+                return
+            m = triangulate(polygon, target_h)
+        while reference is not None:
+            assert np.array_equal(m.nodes, reference.nodes)
+            assert np.array_equal(m.triangles, reference.triangles)
+            m, reference = m.coarse, reference.coarse
+        assert m is None
 
 
 class TestLawsonFlip:

@@ -219,7 +219,7 @@ def superharmonicity_probe(domain: Domain, probes) -> list[ProbeResult]:
     """
     out = []
     for probe in probes:
-        mean = disc_mean_distance(domain, probe, 24, 96)
+        mean = disc_mean_distance(domain, probe)
         center_value = distance_to_boundary(domain, probe.center.as_array())
         out.append(ProbeResult(probe, mean, center_value,
                                mean > center_value + SUPERHARMONIC_TOL))
@@ -265,11 +265,11 @@ class Ladder:
     mesh refined (refine_until) until mu * h_max <= RESOLUTION_LIMIT and it
     has an interior node.  The chain starts at triangulate(domain, target_h),
     or when target_h is None at chain_root(domain, RESOLUTION_LIMIT /
-    mu_list[-1]), for every domain.  At the first mu that the budget cannot
-    resolve, iteration stops without refining: stopped_at is then that mu,
-    and mesh the last mesh yielded.  The constructor checks mu_list
-    (ValueError unless it is nonempty, finite, positive and strictly
-    ascending) before it meshes."""
+    mu_list[-1]), for every domain.  A first mu the budget cannot resolve
+    raises refine_until's MeshBudgetError, prefixed "mu=...: "; at a later
+    one, iteration stops without refining: stopped_at is then that mu, and
+    mesh the last mesh yielded.  The constructor checks mu_list (ValueError
+    unless nonempty, finite, positive and strictly ascending) first."""
 
     def __init__(self, domain: Domain, mu_list, target_h: Optional[float] = None):
         mus = [float(m) for m in mu_list]
@@ -286,12 +286,13 @@ class Ladder:
         self.stopped_at: Optional[float] = None
 
     def __iter__(self):
-        for mu in self.mu_list:
+        for i, mu in enumerate(self.mu_list):
             try:
                 self.mesh = refine_until(self.mesh, self.domain,
-                                         lambda h: mu * h > RESOLUTION_LIMIT,
-                                         interior=True)
-            except MeshBudgetError:
+                                         lambda h: mu * h > RESOLUTION_LIMIT)
+            except MeshBudgetError as e:
+                if i == 0:
+                    raise MeshBudgetError(f"mu={mu:g}: {e}") from None
                 self.stopped_at = mu
                 return
             yield mu, self.mesh
@@ -302,10 +303,10 @@ def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
     """Run the condition check over an ascending sweep of mu.
 
     The meshes come from Ladder(domain, mu_list, target_h), so every
-    result's resolution_ok holds; if the triangle budget stops the
-    refinement, the sweep truncates with a note, and report.mu_list is the
-    swept prefix.  The verdict covers that prefix only, and CONDITION_FAILS
-    means "no certificate at the tested mu", never a proof of nonconvexity.
+    result's resolution_ok holds; a budget stop past the first mu truncates
+    the sweep with a note, and report.mu_list is the swept prefix.  The
+    verdict covers that prefix only, and CONDITION_FAILS means "no
+    certificate at the tested mu", never a proof of nonconvexity.
     """
     ladder = Ladder(domain, mu_list, target_h)
     notes = [
@@ -324,9 +325,6 @@ def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
         var_results.append(recovery)
         if note:
             notes.append(note)
-    if not cond_results:
-        raise MeshBudgetError(
-            "triangle budget too small to resolve even the smallest mu")
     if ladder.stopped_at is not None:
         notes.append(
             f"sweep truncated before mu={ladder.stopped_at:g}: resolving it "

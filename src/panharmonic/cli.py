@@ -12,9 +12,9 @@ Every command that solves (solve, varadhan, check-convexity) walks one
 analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
 the root of the largest mu's chain, mesh.chain_root) and refines as mu
 climbs (mesh.refine_until), so each field is solved on a mesh that
-resolves it.  A first mesh over the triangle budget exits 1 before it is
-refined; at the first mu the budget cannot resolve, the command keeps
-what completed and exits 1.
+resolves it.  A first mesh or first mu the triangle budget cannot resolve
+exits 1 with refine_until's one error, writing nothing; at a later mu,
+the command keeps what completed and exits 1.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
@@ -130,18 +130,16 @@ def _out_dir(args) -> Path:
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
     solve = solver.solve_neumann if args.neumann else solver.solve_dirichlet
-    # A one-step ladder: it yields the resolved mesh or stops on the budget.
-    for mu, m in analysis.Ladder(domain, [args.mu], _target_h(args)):
-        field = solve(m, mu)
-        out = _out_dir(args)
-        solver.save_field_text(field, out / "field.txt")
-        meshing.save_mesh_text(m, out / "mesh.txt")
-        print(f"solved {field.boundary_condition} field: mu={mu:g}, "
-              f"{m.n_nodes} nodes, h_max={m.h_max:.6g}, "
-              f"resolution_ok={field.resolution_ok}")
-        return _EXIT_OK
-    raise meshing.MeshBudgetError(
-        f"triangle budget exceeded before mu={args.mu:g} was resolved")
+    # A one-step ladder: it yields the resolved mesh or raises on the budget.
+    [(mu, m)] = analysis.Ladder(domain, [args.mu], _target_h(args))
+    field = solve(m, mu)
+    out = _out_dir(args)
+    solver.save_field_text(field, out / "field.txt")
+    meshing.save_mesh_text(m, out / "mesh.txt")
+    print(f"solved {field.boundary_condition} field: mu={mu:g}, "
+          f"{m.n_nodes} nodes, h_max={m.h_max:.6g}, "
+          f"resolution_ok={field.resolution_ok}")
+    return _EXIT_OK
 
 
 def _cmd_varadhan(args) -> int:
@@ -167,9 +165,8 @@ def _cmd_varadhan(args) -> int:
         _out_dir(args) / "varadhan.csv",
         "mu,sup_error,error_x,error_y,envelope_constant,resolution_ok", rows)
     if ladder.stopped_at is not None:
-        largest = f"{rows[-1][0]:g}" if rows else "none"
         print(f"error: triangle budget exceeded before "
-              f"mu={ladder.stopped_at:g}; largest completed mu: {largest}",
+              f"mu={ladder.stopped_at:g}; largest completed mu: {rows[-1][0]:g}",
               file=sys.stderr)
         return _EXIT_PIPELINE
     if args.neumann:

@@ -295,7 +295,7 @@ def probe_fits(domain: Domain, probe: Disc) -> bool:
 
 
 def disc_mean_distance(domain: Domain, probe: Disc,
-                       radial_order: int = 16, angular_order: int = 64) -> float:
+                       radial_order: int = 24, angular_order: int = 96) -> float:
     """Mean of the boundary distance over the probe disc.
 
     Tensor quadrature: Gauss-Legendre in the radial variable (with the

@@ -663,8 +663,10 @@ def _grid_mesh(polygon: Polygon) -> Mesh:
 def _ring_rule(disc: Disc, target_h: float) -> int:
     """R0, the root's count of the ring rule's R0 2^L rings for target_h.
     Over the budget R0 2^L is the most rings at depth L that fit, if their
-    longest edge keeps 1.5 target_h; otherwise refine_until refuses."""
-    need = max(2, math.ceil(_DISC_EDGE_FACTOR * disc.radius / target_h))
+    longest edge keeps 1.5 target_h; otherwise (and for any need capped at
+    TRIANGLE_BUDGET, far above what fits) refine_until refuses."""
+    need = max(2, math.ceil(min(_DISC_EDGE_FACTOR * disc.radius / target_h,
+                                TRIANGLE_BUDGET)))
     levels = (math.ceil(need / 12) - 1).bit_length()  # least L, 12 2^L >= need
     rings = math.ceil(need / 2**levels) << levels
     fits = (math.isqrt(TRIANGLE_BUDGET // 6) >> levels) << levels
@@ -692,8 +694,9 @@ def chain_root(domain: Domain, target_h: float) -> Mesh:
 
 
 def triangulate(domain: Domain, target_h: float) -> Mesh:
-    """Mesh the domain with longest edge at most 1.5 * target_h: chain_root
-    refined by refine_until, which refuses over the budget before refining.
+    """Mesh the domain with longest edge at most 1.5 * target_h and at least
+    one interior node, so that it is solvable: chain_root refined by
+    refine_until, which refuses over the budget before refining.
 
     Polygons: the result is nested in the chain down to the root and has
     exactly its angles, so a nonobtuse root gives an M-matrix at every
@@ -708,13 +711,13 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
                         lambda h: h > 1.5 * target_h)
 
 
-def refine_until(mesh: Mesh, domain: Domain, too_coarse, interior: bool = False) -> Mesh:
-    """mesh refined uniformly while too_coarse(h_max) holds or, with
-    interior, while it has no interior node.  Each refinement at most halves
-    h_max, so once the floor(log4(TRIANGLE_BUDGET / n_triangles))
+def refine_until(mesh: Mesh, domain: Domain, too_coarse) -> Mesh:
+    """mesh refined uniformly while too_coarse(h_max) holds or it has no
+    interior node, so the result is solvable.  Each refinement at most
+    halves h_max, so once the floor(log4(TRIANGLE_BUDGET / n_triangles))
     refinements that fit could not end the loop, it raises MeshBudgetError
     before building them."""
-    while too_coarse(mesh.h_max) or (interior and mesh.boundary_node.all()):
+    while too_coarse(mesh.h_max) or mesh.boundary_node.all():
         more = ((TRIANGLE_BUDGET // mesh.n_triangles).bit_length() - 1) // 2
         if more < 1 or too_coarse(mesh.h_max / 2**more):
             raise MeshBudgetError(

@@ -288,7 +288,7 @@ class TestSweep:
                 "than the budget of 2000000 triangles") in report.notes
 
     def test_budget_exhausted_entirely(self, unit_disc):
-        with pytest.raises(MeshBudgetError):
+        with pytest.raises(MeshBudgetError, match=r"^mu=2000: "):
             convexity_sweep(unit_disc, [2000.0], 0.3)
 
     def test_varadhan_skip_note(self, unit_disc):

@@ -192,14 +192,31 @@ class TestCheckConvexity:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["solve", "check-convexity"])
+    @pytest.mark.parametrize("command", ["solve", "varadhan", "check-convexity"])
     def test_auto_budget_exhausted_exit_1(self, command, domains, tmp_path,
                                           capsys):
-        # 'auto' starts at the root; a mu it cannot resolve exits 1.
-        code = _run([command, "--domain", domains["disc"], "--mu", "2000",
-                     "--output-dir", str(tmp_path / "ab")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        # A first mu or a first mesh the budget cannot resolve exits 1 with
+        # refine_until's error, the same line for every command, and writes
+        # nothing.  mu = 1e308 ('auto') and target_h = 1e-320 need more rings
+        # than a float can count.
+        for mu, target_h in (("2000", "auto"), ("2000", "0.3"),
+                             ("1e308", "auto"), ("1", "1e-320")):
+            out = tmp_path / f"{mu}-{target_h}"
+            out.mkdir()
+            code = _run([command, "--domain", domains["disc"], "--mu", mu,
+                         "--target-h", target_h, "--output-dir", str(out)])
+            assert code == 1
+            with pytest.raises(meshing.MeshBudgetError) as refusal:
+                list(analysis.Ladder(unit_disc(), [float(mu)],
+                                     None if target_h == "auto" else float(target_h)))
+            assert capsys.readouterr().err == f"error: {refusal.value}\n"
+            assert str(refusal.value).endswith(
+                "cannot be refined far enough within the budget of "
+                f"{meshing.TRIANGLE_BUDGET} triangles")
+            # A first mesh over the budget fails before any mu.
+            assert str(refusal.value).startswith(f"mu={float(mu):g}: ") == (
+                target_h != "1e-320")
+            assert list(out.iterdir()) == []
 
     @staticmethod
     def auto_rows(domain, tmp_path, *mus):

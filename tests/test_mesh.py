@@ -663,7 +663,8 @@ class TestRefineUntil:
             mp.setattr(meshing, "TRIANGLE_BUDGET", budget)
             reference = chain_root(polygon, target_h)
             try:
-                while reference.h_max > 1.5 * target_h:
+                while (reference.h_max > 1.5 * target_h
+                       or reference.boundary_node.all()):
                     reference = refine_uniform(reference, polygon)
             except MeshBudgetError:
                 with pytest.raises(MeshBudgetError):
@@ -675,6 +676,18 @@ class TestRefineUntil:
             assert np.array_equal(m.triangles, reference.triangles)
             m, reference = m.coarse, reference.coarse
         assert m is None
+
+    @pytest.mark.parametrize("domain, target_h", [
+        (l_shape(), 1.4), (Polygon([(0, 0), (1, 0), (0, 1)]), 0.6)],
+        ids=["lshape", "triangle"])
+    def test_result_has_interior_node(self, domain, target_h):
+        # Each root meets 1.5 target_h after at most one refinement, and has
+        # no interior node until one more: triangulate's meshes are solvable.
+        m = triangulate(domain, target_h)
+        assert not m.boundary_node.all() and m.coarse.boundary_node.all()
+        assert m.coarse.h_max <= 1.5 * target_h
+        field = solve_dirichlet(m, 0.2)
+        assert field.resolution_ok and np.all(field.values > 0.0)
 
 
 class TestLawsonFlip:

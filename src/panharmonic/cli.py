@@ -19,8 +19,9 @@ the command keeps what completed and exits 1.
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
 produce byte-identical output files on one machine and BLAS kernel: CG's
-dot products and norm and the dense coarsest inverse and its product round
-per kernel, which OpenBLAS picks per CPU unless OPENBLAS_CORETYPE pins it.
+dot products and norm, the coarsest level's Cholesky factor, its triangular
+inverse and their products round per kernel, which OpenBLAS picks per CPU
+unless OPENBLAS_CORETYPE pins it.
 """
 
 from __future__ import annotations

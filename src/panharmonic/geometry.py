@@ -24,6 +24,7 @@ counterclockwise.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -294,6 +295,16 @@ def probe_fits(domain: Domain, probe: Disc) -> bool:
     return d > band and _inside(domain, c) and d >= probe.radius - band
 
 
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1], computed once per
+    order and returned as read-only arrays."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def disc_mean_distance(domain: Domain, probe: Disc,
                        radial_order: int = 24, angular_order: int = 96) -> float:
     """Mean of the boundary distance over the probe disc.
@@ -306,7 +317,7 @@ def disc_mean_distance(domain: Domain, probe: Disc,
         raise ValueError("need radial_order >= 4 and angular_order >= 8")
     if not probe_fits(domain, probe):
         raise ValueError("probe disc is not contained in the domain")
-    xi, w = np.polynomial.legendre.leggauss(radial_order)
+    xi, w = _gauss_legendre(radial_order)
     rho = probe.radius
     s = 0.5 * rho * (xi + 1.0)        # radial nodes in (0, rho)
     ws = 0.5 * rho * w * s            # GL weight times Jacobian s

@@ -21,11 +21,12 @@ keeps (Mesh.coarse, Mesh.prolongation).  Every level, the fine one
 included, is its own mesh's operator at the same mu by that recipe; on
 nested P1 spaces a coarse level so rediscretized equals the Galerkin
 product P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin
-bound, and a level with at most COARSEST_SIZE free nodes is solved
-densely.  A system without a coarse mesh and above that size falls back to
-diagonal scaling, i.e. Jacobi-PCG.  Zero start and a fixed iteration order
-keep the result deterministic down to the last bit for a given assembled
-system.
+bound.  A level with at most COARSEST_SIZE free nodes is solved exactly
+through its Cholesky factor L: the cycle keeps W = L^-1, so the coarse
+solve W^T (W r) is symmetric positive definite by construction.  A system
+without a coarse mesh and above that size falls back to diagonal scaling,
+i.e. Jacobi-PCG.  Zero start and a fixed iteration order keep the result
+deterministic down to the last bit for a given assembled system.
 """
 
 from __future__ import annotations
@@ -39,8 +40,12 @@ import scipy.sparse as sp
 
 CG_TOLERANCE = 1e-13
 # Multigrid descends until a level has at most this many free nodes, then
-# solves that level densely.
+# solves that level through its Cholesky factor.
 COARSEST_SIZE = 500
+# _lower_inverse hands blocks of at most this many rows to LAPACK.  Of the
+# cuts 32, 40, 48 and 64, this one took the least total time over twelve
+# sizes n = 40 ... 500 (2-core x86-64, OpenBLAS on one thread).
+_TRIANGULAR_CUT = 32
 _BLOCK_ROWS = 2**13  # Multigrid's Gershgorin row sums take this many rows at a time.
 # Boundary-layer resolution rule: solves with mu * h_max above this are
 # flagged unreliable (the layer has width ~1/mu and needs a few cells).
@@ -52,8 +57,11 @@ class ResolutionWarning(UserWarning):
 
 
 class ConvergenceError(RuntimeError):
-    """Conjugate gradients hit its iteration cap; the assembled system is
-    SPD by construction, so this signals an assembly bug, not bad luck."""
+    """The linear solve failed.  Either the coarsest multigrid level is
+    numerically singular, as a Neumann system is at a mu so small that
+    mu^2 m_i is lost to rounding beside K_ii, or conjugate gradients hit
+    its iteration cap, which on these SPD systems signals an assembly bug,
+    not bad luck."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,9 @@ class Multigrid:
     P_l^T A_{l-1} P_l.  Each level but the coarsest is smoothed by damped
     Jacobi with omega = 4 / (3 lam), lam the Gershgorin bound
     max_i sum_j |a_ij| / a_ii >= lambda_max(D^-1 A).
-    The coarsest is solved densely when it has at most COARSEST_SIZE
-    unknowns and scaled by its diagonal otherwise.  The cycle is a loop
+    The coarsest is solved as W^T (W r), W the inverse of its Cholesky
+    factor (_inverse_cholesky_factor), when it has at most COARSEST_SIZE
+    unknowns, and scaled by its diagonal otherwise.  The cycle is a loop
     over the levels, not a recursive closure, so it holds no reference
     cycle and its memory is returned as soon as the solve drops it.
     """
@@ -121,7 +130,7 @@ class Multigrid:
         # NumPy write a product into the scale in place (temporary elision).
         coarsest = self.matrices[-1]
         if coarsest.shape[0] <= COARSEST_SIZE:
-            self._coarsest = np.linalg.inv(coarsest.toarray())
+            self._coarsest = _inverse_cholesky_factor(coarsest.toarray())
         else:
             self._coarsest = 1.0 / coarsest.diagonal()
 
@@ -141,7 +150,8 @@ class Multigrid:
             defect = a @ x
             np.subtract(r, defect, out=defect)
             r = restrict @ defect
-        x = self._coarsest @ r if self._coarsest.ndim == 2 else self._coarsest * r
+        w = self._coarsest
+        x = w.T @ (w @ r) if w.ndim == 2 else w * r
         for level in reversed(range(len(self.smoothers))):
             a, smooth = self.matrices[level], self.smoothers[level]
             x = self.prolongations[level] @ x
@@ -153,11 +163,49 @@ class Multigrid:
         return x
 
 
+def _inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """W = L^-1 for the Cholesky factor L of the dense SPD matrix a, so
+    that a^-1 = W^T W.
+
+    Raises ConvergenceError when a is numerically singular: the
+    factorization fails, or its smallest pivot l_jj^2 is at most
+    n eps max_i a_ii, numpy's matrix_rank tolerance.
+    """
+    n = a.shape[0]
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        l = None
+    if l is None or not (np.min(np.diagonal(l)) ** 2
+                         > n * np.finfo(float).eps * np.max(np.diagonal(a))):
+        raise ConvergenceError(
+            f"the coarsest multigrid level ({n} unknowns) is numerically "
+            "singular at this mu")
+    return _lower_inverse(l)
+
+
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular l by recursive 2x2 blocks:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], with LAPACK's
+    inverse on blocks of at most _TRIANGULAR_CUT rows."""
+    n = l.shape[0]
+    if n <= _TRIANGULAR_CUT:
+        return np.linalg.inv(l)
+    h = n // 2
+    a_inv, c_inv = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
+    w = np.zeros_like(l)
+    w[:h, :h] = a_inv
+    w[h:, h:] = c_inv
+    w[h:, :h] = -(c_inv @ l[h:, :h]) @ a_inv
+    return w
+
+
 @dataclass(frozen=True)
 class SpdSystem:
     """A x = b with A symmetric positive definite.  preconditioner: the
     Multigrid cycle to use; None means the single-level cycle built from
-    the matrix itself (dense below COARSEST_SIZE, Jacobi above)."""
+    the matrix itself (its Cholesky factor up to COARSEST_SIZE unknowns,
+    Jacobi above)."""
     matrix: sp.csr_matrix
     rhs: np.ndarray
     preconditioner: Multigrid | None = None
@@ -199,8 +247,8 @@ def _shift_diagonal(k: sp.csr_matrix, shift: np.ndarray) -> sp.csr_matrix:
 def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
     """Preconditioned conjugate gradients, zero start, multigrid
     preconditioner (system.preconditioner, or the single-level cycle of
-    the matrix: with no hierarchy above COARSEST_SIZE unknowns this is
-    Jacobi-PCG).
+    the matrix: up to COARSEST_SIZE unknowns that is an exact solve through
+    its Cholesky factor, above it Jacobi-PCG).
 
     Returns x with ||b - A x|| <= tol * ||b||.  Deterministic.  The cap of
     20 * sqrt(n) iterations for n unknowns is generous for the systems

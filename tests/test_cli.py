@@ -1,7 +1,9 @@
 """End-to-end command-line checks: flags, files, exit codes, determinism."""
 
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,18 @@ class TestVaradhan:
         err = capsys.readouterr().err
         assert "largest completed mu: 1" in err
         assert len((out / "varadhan.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("mu", ["1e-300", "1e-8"])
+    @pytest.mark.parametrize("name", ["square", "lshape", "disc"])
+    def test_neumann_tiny_mu_exits_1(self, name, mu, tmp_path, capsys):
+        domain = Path(__file__).resolve().parent.parent / "demos" / "domains" / f"{name}.json"
+        code = _run(["varadhan", "--neumann", "--mu", mu, "--domain", str(domain),
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: the coarsest multigrid level \(\d+ unknowns\) "
+                            r"is numerically singular at this mu", err[0])
 
 
 class TestCheckConvexity:

@@ -333,6 +333,38 @@ class TestNeumann:
         field = solve_neumann(m, 4.0)
         assert field.resolution_ok and field.values.min() > 0.0
 
+    @pytest.mark.parametrize("mu", [1e-300, 1e-8])
+    @pytest.mark.parametrize("name", ["square", "l_shape", "disc"])
+    def test_tiny_mu_refuses(self, name, mu):
+        # mu^2 m_i is lost to rounding beside K_ii, so K + mu^2 diag(m) is
+        # numerically singular; at 1e-300 the right-hand side mu * trace
+        # would also underflow to a zero norm and return v = 0.
+        dom = {"square": unit_square(), "l_shape": l_shape(), "disc": unit_disc()}[name]
+        m = triangulate(dom, 0.2)
+        with pytest.raises(ConvergenceError, match=(
+                rf"coarsest multigrid level \({m.n_nodes} unknowns\) is "
+                r"numerically singular at this mu")):
+            solve_neumann(m, mu)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-5])
+    @pytest.mark.parametrize("name", ["square", "l_shape", "disc"])
+    def test_small_mu_solves(self, name, mu):
+        # The smallest Cholesky pivot clears the n eps singularity test by a
+        # factor above ten.  Summing the equations gives the discrete flux
+        # balance mu^2 m.v = mu |boundary|; the system's condition number
+        # grows like 1 / mu^2, and so does the rounding in that balance.
+        dom = {"square": unit_square(), "l_shape": l_shape(), "disc": unit_disc()}[name]
+        m = triangulate(dom, 0.2)
+        a = solver._operator(m, mu, False).toarray()
+        assert a.shape[0] <= solver.COARSEST_SIZE
+        pivot = np.min(np.diagonal(np.linalg.cholesky(a))) ** 2
+        assert pivot >= 10 * a.shape[0] * np.finfo(float).eps * np.max(np.diagonal(a))
+        field = solve_neumann(m, mu)
+        be = m.boundary_edges
+        perimeter = np.hypot(*(m.nodes[be[:, 1]] - m.nodes[be[:, 0]]).T).sum()
+        balance = mu * float(m.lumped_mass @ field.values) / perimeter
+        assert balance == pytest.approx(1.0, rel={1e-6: 0.1, 1e-5: 1e-3}[mu])
+
 
 class _CountingMatrix:
     """Counts the conjugate-gradient products a @ p; the multigrid cycle
@@ -547,6 +579,48 @@ class TestMultigrid:
         for cycle in seen:
             assert cycle.n_levels >= 2
             assert all(canonical(a) for a in cycle.matrices)
+
+    @pytest.mark.parametrize("dirichlet", [True, False])
+    @pytest.mark.parametrize("name", ["square", "l_shape", "disc"])
+    def test_coarse_solve_matches_dense_solve(self, name, dirichlet):
+        # A single level of at most COARSEST_SIZE unknowns is solved exactly
+        # through its Cholesky factor.  Both solves are backward stable, so
+        # they agree to 1e-12, or to kappa eps where that is larger: only for
+        # the Neumann systems at mu = 1e-3, whose kappa eps is about 1e-7.
+        dom = {"square": unit_square(), "l_shape": l_shape(), "disc": unit_disc()}[name]
+        m = triangulate(dom, 0.2)
+        rng = np.random.default_rng(17)
+        for mu in (1e-3, 1.0, 10.0, 100.0):
+            a = solver._operator(m, mu, dirichlet)
+            assert a.shape[0] <= solver.COARSEST_SIZE
+            r = rng.standard_normal(a.shape[0])
+            got = solver.Multigrid([(a, None)])(r)
+            dense = a.toarray()
+            ref = np.linalg.solve(dense, r)
+            bound = max(1e-12, np.linalg.cond(dense) * np.finfo(float).eps)
+            assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, solver._TRIANGULAR_CUT - 1,
+                                   solver._TRIANGULAR_CUT,
+                                   solver._TRIANGULAR_CUT + 1, 121, 497])
+    def test_block_inverse_of_cholesky_factor(self, n):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        l = np.linalg.cholesky(g @ g.T + n * np.eye(n))
+        w = solver._lower_inverse(l)
+        assert np.abs(w @ l - np.eye(n)).max() <= 1e-13 * n
+
+    def test_v_cycle_is_symmetric(self, l_shape):
+        cycle = solver._multigrid(triangulate(l_shape, 0.025), 10.0, True)
+        assert cycle.n_levels == 3
+        rng = np.random.default_rng(23)
+        r, s = rng.standard_normal((2, cycle.matrices[0].shape[0]))
+        sbr, rbs = float(s @ cycle(r)), float(r @ cycle(s))
+        assert abs(sbr - rbs) <= 1e-12 * abs(sbr)
+
+    def test_indefinite_coarsest_level_raises(self):
+        a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ConvergenceError, match=r"\(2 unknowns\) is numerically singular"):
+            solver.Multigrid([(a, None)])
 
     def test_preconditioner_freed_after_solve(self, l_shape, monkeypatch):
         m = refine_uniform(triangulate(l_shape, 0.05), l_shape)

@@ -18,7 +18,9 @@ midpoint interpolation from its nodes (Mesh.prolongation): one chain per
 domain, nested except at a disc's projected boundary midpoints, and grown
 by one loop, refine_until, which refuses what the budget cannot fit before
 building it.  The solver's multigrid preconditioner runs over that chain
-of meshes, each level with the operators its own mesh caches.
+of meshes, each level with the operators its own mesh caches for the
+solve's free nodes: the free nodes of a coarse mesh are a prefix of its
+refinement's, since a refinement numbers its parent's nodes first.
 
 Roots and directly built meshes compute their geometry from their nodes,
 refinements copy it, and the rim is patched.  Each child triangle of a
@@ -101,11 +103,10 @@ class Mesh:
     _edge_topology would return for triangles, when the caller already has
     them.
 
-    The mu-free pieces of P1 assembly are cached on first use: K_II with
-    the row sums K 1, which a Dirichlet solve reads, K, which a Neumann
-    solve reads, and the lumped mass.  The stiffness weights they are built
-    from are computed once for K_II and K 1 together and not kept; K
-    computes them again.  A mesh that computes its geometry from its nodes
+    The mu-free pieces of P1 assembly are cached on first use: the lumped
+    mass, and per mask of free nodes (all for a Neumann solve, the interior
+    for a Dirichlet one) the block of K with the row sums K 1 and the
+    prolongation on them.  A mesh that computes its geometry from its nodes
     (a chain's root, or one built directly) also caches its (M, 3, 2) hat
     gradients.  A refinement (_Refinement, see the module docstring) takes
     its areas from its coarse mesh, and gathers its gradients and local
@@ -157,6 +158,7 @@ class Mesh:
         self._edge_inverse = inverse
         self._edge_counts = counts
         self._areas = areas
+        self._free_stiffness, self._free_prolongations = {}, {}  # per free mask
 
     def _triangle_areas(self, nodes, triangles) -> np.ndarray:
         """The (M,) triangle areas, checked positive."""
@@ -243,43 +245,36 @@ class Mesh:
         corners (i = j).  Not cached."""
         return _stiffness_products(*self.hat_gradients)
 
-    @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """P1 stiffness matrix K on all nodes (see stiffness_weights),
-        verified to be exactly symmetric.  Its arrays are read-only."""
-        return _symmetric_csr(self._edges_unique, *self.stiffness_weights,
-                              np.ones(self.n_nodes, dtype=bool))
+    def free_stiffness(self, free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(K[free][:, free], (K 1)[free]) for an (N,) bool mask of the free
+        nodes: the block of K from the edges whose two ends are free,
+        verified to be exactly symmetric, and the row sums of K, zero up to
+        rounding.  Cached per mask, from one evaluation of the stiffness
+        weights, which are not kept.  Read-only."""
+        key = np.packbits(free).tobytes()
+        if key not in self._free_stiffness:
+            off, diag = self.stiffness_weights
+            edges = self._edges_unique
+            k = _symmetric_csr(edges, off, diag, free)  # before the sums, out of its peak
+            sums = diag + np.bincount(edges[:, 0], weights=off, minlength=self.n_nodes)
+            sums += np.bincount(edges[:, 1], weights=off, minlength=self.n_nodes)
+            sums = sums[free]
+            sums.setflags(write=False)
+            self._free_stiffness[key] = k, sums
+        return self._free_stiffness[key]
 
-    @property
-    def interior_stiffness(self) -> sp.csr_matrix:
-        """The block of K on the interior nodes, in node order, built from
-        the edges whose two ends are interior; equal to K[I][:, I].
-        Verified to be exactly symmetric.  Its arrays are read-only."""
-        return self._dirichlet_stiffness[0]
-
-    @property
-    def stiffness_row_sums(self) -> np.ndarray:
-        """K @ 1 from the edge weights: zero up to rounding, kept for the
-        Dirichlet lift.  Read-only."""
-        return self._dirichlet_stiffness[1]
-
-    @cached_property
-    def _dirichlet_stiffness(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(K_II, K 1), all of K that a Dirichlet solve reads, from one
-        evaluation of the stiffness weights, which are not kept."""
-        off, diag = self.stiffness_weights
-        edges = self._edges_unique
-        sums = (diag + np.bincount(edges[:, 0], weights=off, minlength=self.n_nodes)
-                + np.bincount(edges[:, 1], weights=off, minlength=self.n_nodes))
-        sums.setflags(write=False)
-        return _symmetric_csr(edges, off, diag, ~self.boundary_node), sums
-
-    @cached_property
-    def interior_prolongation(self) -> sp.csr_matrix:
-        """The prolongation between the interior nodes of the coarse mesh
-        and of this one, P[I][:, I_coarse]: the transfer of Dirichlet
-        multigrid."""
-        return self.prolongation[~self.boundary_node][:, ~self.coarse.boundary_node].tocsr()
+    def free_prolongation(self, free: np.ndarray) -> sp.csr_matrix:
+        """P[free][:, free[:coarse.n_nodes]], the prolongation between free
+        nodes: the coarse mesh's are the mask's prefix, as refine_uniform
+        numbers the parent's nodes first.  prolongation itself when every
+        node is free, else cached per mask."""
+        if free.all():
+            return self.prolongation
+        key = np.packbits(free).tobytes()
+        if key not in self._free_prolongations:
+            self._free_prolongations[key] = (
+                self.prolongation[free][:, free[:self.coarse.n_nodes]].tocsr())
+        return self._free_prolongations[key]
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:

@@ -7,18 +7,18 @@ system an M-matrix on nonobtuse meshes and makes the discrete bound
 imposed strongly through the lift v = 1 + w with w = 0 on the boundary;
 Neumann data dv/dn = mu enters as the boundary functional mu * integral(phi ds).
 
-Every operator is one recipe (_operator): the mu-free stiffness a mesh
-caches (mesh.Mesh) shifted by mu^2 times the lumped mass m on the free
-nodes, a fresh copy of its values on its own read-only index arrays.  A
-Neumann solve frees all nodes, A = K + mu^2 diag(m); a Dirichlet
-solve frees the interior ones, A_II = K_II + mu^2 diag(m_I), with
-right-hand side -(K 1 + mu^2 m)_I from the cached row sums K 1, so it never
-builds the full K or A.
+Both solves are one masked solve (_solve), and every operator is one
+recipe (_operator): the block K[F][:, F] of the stiffness that a mesh caches
+per mask F of free nodes (Mesh.free_stiffness), shifted by mu^2 times the
+lumped mass m_F, a fresh copy of its values on its own read-only index
+arrays.  The mask alone tells the solves apart: a Neumann solve frees all
+nodes; a Dirichlet solve the interior ones, with right-hand side
+-(K 1 + mu^2 m)_I from the cached row sums K 1, so it never builds K or A.
 
 The linear solve is conjugate gradients preconditioned by one symmetric
 V(1,1)-cycle of geometric multigrid over the chain of meshes each mesh
 keeps (Mesh.coarse, Mesh.prolongation).  Every level, the fine one
-included, is its own mesh's operator at the same mu by that recipe; on
+included, is its own mesh's operator on its prefix of the mask; on
 nested P1 spaces a coarse level so rediscretized equals the Galerkin
 product P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin
 bound.  A level with at most COARSEST_SIZE free nodes is solved exactly
@@ -211,28 +211,11 @@ class SpdSystem:
     preconditioner: Multigrid | None = None
 
 
-def assemble(mesh, mu: float) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The Neumann operator A = K + mu^2 diag(m) on all nodes, and m.
-
-    K is the P1 stiffness matrix and m the lumped mass vector (one third
-    of the adjacent triangle area per node), both cached on the mesh
-    (``Mesh.stiffness``, ``Mesh.lumped_mass``), so m is read-only.  A is
-    a fresh matrix on K's read-only indices and indptr, exactly symmetric:
-    K is verified to be, and the added term is diagonal.  Exact zeros of K
-    are not stored.
-    """
-    return _operator(mesh, mu, False), mesh.lumped_mass
-
-
-def _operator(mesh, mu: float, dirichlet: bool) -> sp.csr_matrix:
-    """The system matrix on mesh at this mu: K_II + mu^2 diag(m_I) on the
-    interior nodes for a Dirichlet solve, K + mu^2 diag(m) on all nodes
-    otherwise."""
-    if dirichlet:
-        k, m = mesh.interior_stiffness, mesh.lumped_mass[~mesh.boundary_node]
-    else:
-        k, m = mesh.stiffness, mesh.lumped_mass
-    return _shift_diagonal(k, mu * mu * m)
+def _operator(mesh, mu: float, free: np.ndarray) -> sp.csr_matrix:
+    """The system matrix K[free][:, free] + mu^2 diag(m[free]) on the free
+    nodes of mesh at this mu, for the P1 stiffness K and the lumped mass m
+    (one third of the adjacent triangle area per node)."""
+    return _shift_diagonal(mesh.free_stiffness(free)[0], mu * mu * mesh.lumped_mass[free])
 
 
 def _shift_diagonal(k: sp.csr_matrix, shift: np.ndarray) -> sp.csr_matrix:
@@ -292,23 +275,40 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         f"{precondition.n_levels} multigrid level(s)")
 
 
-def _multigrid(mesh, mu: float, dirichlet: bool) -> Multigrid:
-    """The V-cycle on mesh at this mu.  Level 0 is mesh's own operator
-    (_operator) and each further level that of the next mesh down
-    mesh.coarse, until a level has at most COARSEST_SIZE free nodes.  A
-    Dirichlet cycle transfers between interior nodes
-    (Mesh.interior_prolongation), a Neumann one between all nodes."""
-    levels = [(_operator(mesh, mu, dirichlet), None)]
+def _multigrid(mesh, mu: float, free: np.ndarray) -> Multigrid:
+    """The V-cycle on the free nodes of mesh at this mu.  Level 0 is mesh's
+    own operator (_operator) and each further level that of the next mesh
+    down mesh.coarse on the prefix of free its nodes are, until a level
+    has at most COARSEST_SIZE free nodes.  Each transfer is
+    Mesh.free_prolongation, built only when the cycle descends."""
+    levels = [(_operator(mesh, mu, free), None)]
     while mesh.coarse is not None and levels[-1][0].shape[0] > COARSEST_SIZE:
-        p = mesh.interior_prolongation if dirichlet else mesh.prolongation
+        p = mesh.free_prolongation(free)
         mesh = mesh.coarse
-        levels.append((_operator(mesh, mu, dirichlet), p))
+        free = free[:mesh.n_nodes]
+        levels.append((_operator(mesh, mu, free), p))
     return Multigrid(levels)
 
 
-def _check_resolution(mesh, mu: float) -> bool:
+def _solve(mesh, mu: float, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x on the free nodes with _operator(mesh, mu, free) x = rhs, by
+    conjugate gradients preconditioned with the _multigrid cycle."""
+    cycle = _multigrid(mesh, mu, free)
+    return solve_spd_system(SpdSystem(cycle.matrices[0], rhs, cycle), CG_TOLERANCE)
+
+
+def _check_mu(mesh, mu: float, rhs: np.ndarray) -> bool:
+    """Whether a solve at this mu is resolved, with a ResolutionWarning if
+    not.  ValueError unless mu is positive, finite and does not overflow
+    mu^2 m or the norm of rhs, which CG's stopping test divides by."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite([mu * mu * np.max(mesh.lumped_mass), np.linalg.norm(rhs)])
+    if not finite.all():
+        raise ValueError(
+            f"mu = {mu:g} overflows: mu^2 times the lumped mass, or the norm "
+            "of the right-hand side, is not finite")
     if mu * mesh.h_max > RESOLUTION_LIMIT:
         warnings.warn(
             f"mu * h_max = {mu * mesh.h_max:.3g} exceeds {RESOLUTION_LIMIT}; "
@@ -326,13 +326,12 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
     A_II = K_II + mu^2 diag(m_I) and A @ 1 = K @ 1 + mu^2 m from the
     cached row sums of K.  The full K and A are never built here.
     """
-    resolution_ok = _check_resolution(mesh, mu)
     interior = ~mesh.boundary_node
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
-    cycle = _multigrid(mesh, mu, True)
-    rhs = -(mesh.stiffness_row_sums + mu * mu * mesh.lumped_mass)[interior]
-    w = solve_spd_system(SpdSystem(cycle.matrices[0], rhs, cycle), CG_TOLERANCE)
+    rhs = -(mesh.free_stiffness(interior)[1] + mu * mu * mesh.lumped_mass[interior])
+    resolution_ok = _check_mu(mesh, mu, rhs)
+    w = _solve(mesh, mu, interior, rhs)
     values = np.ones(mesh.n_nodes)
     values[interior] += w
     return ScalarField(mesh, mu, values, resolution_ok, "dirichlet")
@@ -345,16 +344,15 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
     trace (half the length of each adjacent boundary edge per node).  No
     maximum-principle bound holds: values exceed 1 near the boundary.
     """
-    resolution_ok = _check_resolution(mesh, mu)
     be = mesh.boundary_edges
     seg = mesh.nodes[be[:, 1]] - mesh.nodes[be[:, 0]]
     half_len = 0.5 * np.hypot(seg[:, 0], seg[:, 1])
     trace = np.zeros(mesh.n_nodes)
     np.add.at(trace, be[:, 0], half_len)
     np.add.at(trace, be[:, 1], half_len)
-    cycle = _multigrid(mesh, mu, False)
-    v = solve_spd_system(SpdSystem(cycle.matrices[0], mu * trace, cycle),
-                         CG_TOLERANCE)
+    rhs = mu * trace
+    resolution_ok = _check_mu(mesh, mu, rhs)
+    v = _solve(mesh, mu, np.ones(mesh.n_nodes, dtype=bool), rhs)
     return ScalarField(mesh, mu, v, resolution_ok, "neumann")
 
 

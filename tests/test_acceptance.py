@@ -162,7 +162,7 @@ def test_criterion_05_fem_sup_matches_direct_solve():
     m = meshing.triangulate(square, 0.5 / 40.0)
     interior = ~m.boundary_node
     for mu in (10.0, 20.0, 40.0):
-        operator, _ = solver.assemble(m, mu)
+        operator = solver._operator(m, mu, np.ones(m.n_nodes, dtype=bool))
         a_ii = operator[interior][:, interior].tocsc()
         a_ib = operator[interior][:, ~interior]
         values = np.ones(m.n_nodes)

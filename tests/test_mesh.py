@@ -31,6 +31,11 @@ from strategies import (comb, combs, refined_discs, refined_web, rotated_l_shape
                         skyline, skylines, star_polygons)
 
 
+def stiffness(m):
+    """The P1 stiffness K on all nodes, as the mesh caches it."""
+    return m.free_stiffness(np.ones(m.n_nodes, dtype=bool))[0]
+
+
 class TestSquare:
     def test_coarse_structured(self, unit_square):
         m = triangulate(unit_square, 0.5)
@@ -530,7 +535,7 @@ class TestDiscChain:
         for level in range(levels + 1):
             assert mesh_quality(m).max_angle <= 90.0 + 1e-9
             off, _ = m.stiffness_weights
-            assert off.max() <= 1e-12 * np.abs(m.stiffness.data).max()
+            assert off.max() <= 1e-12 * np.abs(stiffness(m).data).max()
             # Each coordinate is rounded relative to its own magnitude, so
             # the radius is exact to rounding of |centre| + radius: relative
             # to the radius for a disc at the origin.
@@ -876,7 +881,7 @@ class TestInheritedGeometry:
         for level, fresh in self.levels(triangulate(dom, 0.01)):
             for got, ref in zip(self.geometry(level)[:4], self.geometry(fresh)[:4]):
                 assert got.tobytes() == ref.tobytes()
-            assert level.stiffness.data.tobytes() == fresh.stiffness.data.tobytes()
+            assert stiffness(level).data.tobytes() == stiffness(fresh).data.tobytes()
 
     def test_int32_topology_past_key_overflow(self, l_shape):
         # Above 46,341 nodes the edge key lo * n_nodes overflows int32; the
@@ -890,6 +895,43 @@ class TestInheritedGeometry:
             for g, r, dtype in zip(got, ref, TestFastPaths.TOPOLOGY_DTYPES):
                 assert g.dtype == dtype
                 assert np.array_equal(g, r)
+
+
+class TestFreeMasks:
+    """A solve's free nodes on a coarse mesh are the prefix of its mask on
+    the refinement: refine_uniform numbers the parent's nodes first, and
+    each keeps its boundary flag."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(skylines(), star_polygons()))
+    def test_polygon_chain_prefix(self, polygon):
+        try:
+            fine = triangulate(polygon, 0.05 * domain_scale(polygon))
+        except ValueError as exc:
+            if "ear clipping" not in str(exc):
+                raise
+            reject()  # nearly collinear corners
+        self.check_prefix(fine)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(refined_discs())
+    def test_disc_chain_prefix(self, chain):
+        self.check_prefix(refined_web(*chain))
+
+    @staticmethod
+    def check_prefix(fine):
+        refinements = 0
+        while fine.coarse is not None:
+            b, b_coarse = fine.boundary_node, fine.coarse.boundary_node
+            assert np.array_equal(b[:fine.coarse.n_nodes], b_coarse)
+            got = fine.free_prolongation(~b)
+            ref = fine.prolongation[~b][:, ~b_coarse].tocsr()
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert fine.free_prolongation(np.ones(fine.n_nodes, dtype=bool)) is fine.prolongation
+            fine, refinements = fine.coarse, refinements + 1
+        assert refinements >= 1
 
 
 class TestGridCoarseMesh:
@@ -909,7 +951,7 @@ class TestGridCoarseMesh:
         assert mesh_quality(chain[-1]).nonobtuse_fraction == 1.0
         for level in chain:
             off, _ = level.stiffness_weights
-            assert off.max() <= 1e-12 * np.abs(level.stiffness.data).max()
+            assert off.max() <= 1e-12 * np.abs(stiffness(level).data).max()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
             for mu in (1.0, 10.0):

@@ -9,6 +9,7 @@ against extended precision in test_special).
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -27,7 +28,7 @@ from panharmonic.geometry import Polygon, domain_scale, regular_polygon
 from panharmonic.mesh import Mesh, _disc_web, triangulate, refine_uniform
 from panharmonic.solver import (CG_TOLERANCE, RESOLUTION_LIMIT,
                                 ConvergenceError, ResolutionWarning,
-                                ScalarField, SpdSystem, assemble,
+                                ScalarField, SpdSystem,
                                 gradient_field, save_field_text,
                                 solve_dirichlet, solve_neumann,
                                 solve_spd_system)
@@ -43,6 +44,31 @@ def assert_same_csr(a, b):
     assert a.data.tobytes() == b.data.tobytes()
 
 
+def all_free(m):
+    """The free mask of a Neumann solve: every node."""
+    return np.ones(m.n_nodes, dtype=bool)
+
+
+def stiffness(m):
+    """The P1 stiffness K on all nodes, as the mesh caches it."""
+    return m.free_stiffness(all_free(m))[0]
+
+
+def neumann_operator(m, mu):
+    """K + mu^2 diag(m) on all nodes."""
+    return solver._operator(m, mu, all_free(m))
+
+
+def boundary_trace(m):
+    """Half the length of each adjacent boundary edge, per node."""
+    be = m.boundary_edges
+    half = 0.5 * np.hypot(*(m.nodes[be[:, 1]] - m.nodes[be[:, 0]]).T)
+    trace = np.zeros(m.n_nodes)
+    np.add.at(trace, be[:, 0], half)
+    np.add.at(trace, be[:, 1], half)
+    return trace
+
+
 class TestAssembly:
     def test_symmetry_check_rejects_one_asymmetric_entry(self):
         # One off-diagonal entry with no mirror, and a mirrored pair that
@@ -55,18 +81,18 @@ class TestAssembly:
         meshing._assert_symmetric(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
 
     def test_exact_symmetry(self, l_shape):
-        operator, lumped = assemble(triangulate(l_shape, 0.3), 2.0)
+        operator = neumann_operator(triangulate(l_shape, 0.3), 2.0)
         skew = (operator - operator.T).tocsr()
         assert skew.nnz == 0 or np.abs(skew.data).max() == 0.0
 
     def test_lumped_mass_partitions_area(self, unit_disc):
         m = triangulate(unit_disc, 0.2)
-        _, lumped = assemble(m, 1.0)
+        lumped = m.lumped_mass
         assert lumped.sum() == pytest.approx(m.triangle_areas().sum(), rel=1e-13)
         assert lumped.min() > 0.0
 
     def test_positive_definite(self, unit_square):
-        operator, _ = assemble(triangulate(unit_square, 0.5), 1.5)
+        operator = neumann_operator(triangulate(unit_square, 0.5), 1.5)
         eigs = np.linalg.eigvalsh(operator.toarray())
         assert eigs.min() > 0.0
 
@@ -113,7 +139,7 @@ class TestAssembly:
         signed = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
         assert m.triangle_areas().tobytes() == signed.tobytes()
         assert m.hat_gradients[1] is m.triangle_areas()
-        k = m.stiffness
+        k = stiffness(m)
         assert np.array_equal(k.indptr, ref_k.indptr)
         assert np.array_equal(k.indices, ref_k.indices)
         off = k.indices != np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
@@ -121,14 +147,16 @@ class TestAssembly:
         assert k.diagonal().tobytes() == ref_diag.tobytes()
         ref_k.setdiag(ref_diag)
         for mu in (0.5, 3.0, 40.0, 3.0):
-            cached, lumped = assemble(m, mu)
-            fresh, fresh_lumped = assemble(Mesh(m.nodes, m.triangles), mu)
+            cached, lumped = neumann_operator(m, mu), m.lumped_mass
+            fresh_mesh = Mesh(m.nodes, m.triangles)
+            fresh, fresh_lumped = neumann_operator(fresh_mesh, mu), fresh_mesh.lumped_mass
             ref = ref_k + sp.diags(mu * mu * ref_lumped, format="csr")
             for other, other_lumped in ((fresh, fresh_lumped), (ref, ref_lumped)):
                 assert_same_csr(cached, other)
                 assert lumped.tobytes() == other_lumped.tobytes()
-        assert assemble(m, 1.0)[0] is not assemble(m, 1.0)[0]
-        assert m.stiffness is m.stiffness
+        assert neumann_operator(m, 1.0) is not neumann_operator(m, 1.0)
+        # Cached per mask value, not per mask array.
+        assert stiffness(m) is stiffness(m)
 
     @pytest.mark.parametrize("name", ["l_shape", "disc", "square", "heptagon"])
     def test_interior_block_is_the_slice(self, name):
@@ -137,9 +165,12 @@ class TestAssembly:
                "heptagon": regular_polygon(7, radius=1.0)}[name]
         m = triangulate(dom, 0.05)
         interior = ~m.boundary_node
-        assert_same_csr(m.interior_stiffness, m.stiffness[interior][:, interior])
-        k_max = np.abs(m.stiffness.data).max()
-        assert np.abs(m.stiffness_row_sums).max() <= 1e-12 * k_max
+        k, sums = m.free_stiffness(all_free(m))
+        k_interior, interior_sums = m.free_stiffness(interior)
+        assert_same_csr(k_interior, k[interior][:, interior])
+        k_max = np.abs(k.data).max()
+        assert np.abs(sums).max() <= 1e-12 * k_max
+        assert interior_sums.tobytes() == sums[interior].tobytes()
 
     @pytest.mark.parametrize("name", ["square", "disc"])
     def test_nonobtuse_meshes_give_m_matrices(self, name):
@@ -150,7 +181,7 @@ class TestAssembly:
             m = triangulate(dom, h)
             off, _ = m.stiffness_weights
             assert np.count_nonzero(off > 0.0) == 0
-            k = m.stiffness
+            k = stiffness(m)
             rows = np.repeat(np.arange(m.n_nodes), np.diff(k.indptr))
             assert np.all(k.data[k.indices != rows] < 0.0)
 
@@ -159,14 +190,15 @@ class TestAssembly:
         # Each mu copies only the values of the cached K or K_II; the index
         # arrays are K's own, read-only and untouched.
         m = triangulate(l_shape, 0.05)
-        k = m.interior_stiffness if dirichlet else m.stiffness
+        free = ~m.boundary_node if dirichlet else all_free(m)
+        k = m.free_stiffness(free)[0]
         data = k.data.copy()
         shift = np.linspace(1.0, 2.0, k.shape[0])
         rows = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
         on_diagonal = k.indices == rows
         expected = k.data.copy()
         expected[on_diagonal] += shift
-        for a in (solver._operator(m, 3.0, dirichlet), solver._shift_diagonal(k, shift)):
+        for a in (solver._operator(m, 3.0, free), solver._shift_diagonal(k, shift)):
             assert np.shares_memory(a.indices, k.indices)
             assert np.shares_memory(a.indptr, k.indptr)
             assert not np.shares_memory(a.data, k.data)
@@ -185,18 +217,18 @@ class TestAssemblyProperties:
             if "ear clipping" not in str(exc):
                 raise
             reject()  # nearly collinear corners
-        k = m.stiffness
+        k = stiffness(m)
         assert (k != k.T).nnz == 0
         assert np.abs(k @ np.ones(m.n_nodes)).max() <= 1e-12 * np.abs(k.data).max()
         interior = ~m.boundary_node
-        assert_same_csr(m.interior_stiffness, k[interior][:, interior])
+        assert_same_csr(m.free_stiffness(interior)[0], k[interior][:, interior])
         assert m.lumped_mass.sum() == pytest.approx(polygon.signed_area(), rel=1e-12)
 
 
 class TestConjugateGradient:
     def test_against_dense_solve(self, l_shape):
         m = triangulate(l_shape, 0.3)
-        operator, _ = assemble(m, 3.0)
+        operator = neumann_operator(m, 3.0)
         interior = np.flatnonzero(~m.boundary_node)
         a = operator[interior][:, interior].tocsr()
         rng = np.random.default_rng(11)
@@ -355,7 +387,7 @@ class TestNeumann:
         # grows like 1 / mu^2, and so does the rounding in that balance.
         dom = {"square": unit_square(), "l_shape": l_shape(), "disc": unit_disc()}[name]
         m = triangulate(dom, 0.2)
-        a = solver._operator(m, mu, False).toarray()
+        a = neumann_operator(m, mu).toarray()
         assert a.shape[0] <= solver.COARSEST_SIZE
         pivot = np.min(np.diagonal(np.linalg.cholesky(a))) ** 2
         assert pivot >= 10 * a.shape[0] * np.finfo(float).eps * np.max(np.diagonal(a))
@@ -364,6 +396,40 @@ class TestNeumann:
         perimeter = np.hypot(*(m.nodes[be[:, 1]] - m.nodes[be[:, 0]]).T).sum()
         balance = mu * float(m.lumped_mass @ field.values) / perimeter
         assert balance == pytest.approx(1.0, rel={1e-6: 0.1, 1e-5: 1e-3}[mu])
+
+
+class TestOverflow:
+    """Refusals of a mu too large for floating point, whose mu^2 or whose
+    right-hand side overflows, before any operator is built at it."""
+
+    @pytest.mark.parametrize("mu", [1e155, 1e200])
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    def test_mu_squared_overflow_refuses(self, unit_square, solve, mu):
+        # mu^2 itself is inf, not a singular coarsest level.
+        m = triangulate(unit_square, 0.2)
+        with pytest.raises(ValueError, match="^" + re.escape(f"mu = {mu:g} overflows: mu^2 times")):
+            solve(m, mu)
+
+    def test_neumann_solves_below_overflow(self, unit_square):
+        m = triangulate(unit_square, 0.2)
+        with pytest.warns(ResolutionWarning):
+            got = solve_neumann(m, 1e150).values
+        ref = np.linalg.solve(neumann_operator(m, 1e150).toarray(), 1e150 * boundary_trace(m))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_dirichlet_rhs_norm_overflow_refuses(self, unit_square):
+        # The Dirichlet right-hand side -(K 1 + mu^2 m)_I has entries near
+        # mu^2 h^2, so its 2-norm overflows long before mu^2 does, and then
+        # the stopping test ||r|| <= tol ||b|| of conjugate gradients holds
+        # after any first step: on this three-level mesh at mu = 1e80 one
+        # step leaves interior values up to 0.107, where the field is 0.
+        m = triangulate(unit_square, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            values = solve_dirichlet(m, 1e70).values
+            assert np.abs(values[~m.boundary_node]).max() <= 1e-12
+            with pytest.raises(ValueError, match=r"^mu = 1e\+80 overflows"):
+                solve_dirichlet(m, 1e80)
 
 
 class _CountingMatrix:
@@ -437,7 +503,7 @@ class TestMultigrid:
     @staticmethod
     def direct_dirichlet(m, mu):
         from scipy.sparse.linalg import spsolve
-        operator, _ = assemble(m, mu)
+        operator = neumann_operator(m, mu)
         interior = ~m.boundary_node
         values = np.ones(m.n_nodes)
         values[interior] = spsolve(
@@ -457,13 +523,8 @@ class TestMultigrid:
         from scipy.sparse.linalg import spsolve
         m = refine_uniform(triangulate(l_shape, 0.05), l_shape)
         got = solve_neumann(m, 10.0).values
-        operator, _ = assemble(m, 10.0)
-        be = m.boundary_edges
-        half = 0.5 * np.hypot(*(m.nodes[be[:, 1]] - m.nodes[be[:, 0]]).T)
-        trace = np.zeros(m.n_nodes)
-        np.add.at(trace, be[:, 0], half)
-        np.add.at(trace, be[:, 1], half)
-        ref = spsolve(operator.tocsc(), 10.0 * trace)
+        operator = neumann_operator(m, 10.0)
+        ref = spsolve(operator.tocsc(), 10.0 * boundary_trace(m))
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @staticmethod
@@ -494,24 +555,26 @@ class TestMultigrid:
     def assert_coarse_levels(mesh, mu, cycle):
         # Level l + 1 is the l-th coarse mesh's own interior operator at mu.
         for a, p, r in zip(cycle.matrices[1:], cycle.prolongations, cycle._restrictions):
-            assert p is mesh.interior_prolongation
+            assert p is mesh.free_prolongation(~mesh.boundary_node)
             # The restriction is P^T as a view on P's arrays, not a copy.
             assert r.shape == p.shape[::-1] and np.shares_memory(r.data, p.data)
             mesh = mesh.coarse
-            m = mesh.lumped_mass[~mesh.boundary_node]
-            assert_same_csr(a, solver._shift_diagonal(mesh.interior_stiffness, mu * mu * m))
+            interior = ~mesh.boundary_node
+            m = mesh.lumped_mass[interior]
+            assert_same_csr(a, solver._shift_diagonal(mesh.free_stiffness(interior)[0],
+                                                      mu * mu * m))
 
     def test_coarse_operators_cached_per_mesh(self, unit_disc, monkeypatch):
         m = triangulate(unit_disc, 0.02)
         seen = self.spy_preconditioners(monkeypatch)
         solve_dirichlet(m, 2.0)
-        k = m.coarse.interior_stiffness
+        k = m.coarse.free_stiffness(~m.coarse.boundary_node)[0]
         builds = self.count_operator_builds(monkeypatch)
         solve_dirichlet(m, 5.0)
         # The second mu builds no mu-free operator, and every coarse level
         # comes from the same cached one.
         assert not builds
-        assert m.coarse.interior_stiffness is k
+        assert m.coarse.free_stiffness(~m.coarse.boundary_node)[0] is k
         first, second = seen
         assert first.n_levels == second.n_levels >= 3
         assert second.matrices[-1].shape[0] <= solver.COARSEST_SIZE
@@ -534,13 +597,13 @@ class TestMultigrid:
         mesh = triangulate(dom, target_h)
         for parent, child in ((mesh.coarse, mesh), (mesh, refine_uniform(mesh, dom))):
             assert child.coarse is parent
-            interior = ~child.boundary_node
+            interior, parent_interior = ~child.boundary_node, ~parent.boundary_node
             for p, k, m, k_parent, m_parent in (
-                    (child.prolongation, child.stiffness, child.lumped_mass,
-                     parent.stiffness, parent.lumped_mass),
-                    (child.interior_prolongation, child.interior_stiffness,
-                     child.lumped_mass[interior], parent.interior_stiffness,
-                     parent.lumped_mass[~parent.boundary_node])):
+                    (child.free_prolongation(all_free(child)), stiffness(child),
+                     child.lumped_mass, stiffness(parent), parent.lumped_mass),
+                    (child.free_prolongation(interior), child.free_stiffness(interior)[0],
+                     child.lumped_mass[interior], parent.free_stiffness(parent_interior)[0],
+                     parent.lumped_mass[parent_interior])):
                 galerkin = (p.T @ k @ p).tocsr()
                 assert abs(galerkin - k_parent).max() <= 1e-12 * abs(k_parent).max()
                 assert np.all(np.abs(p.T @ m - m_parent) <= 1e-14 * m_parent)
@@ -550,12 +613,12 @@ class TestMultigrid:
         rungs = iter(Ladder(l_shape, [2.0, 6.0], 0.1))
         mu, parent = next(rungs)
         solve_dirichlet(parent, mu)
-        k = parent.interior_stiffness
+        k = parent.free_stiffness(~parent.boundary_node)[0]
         builds = self.count_operator_builds(monkeypatch)
         mu, child = next(rungs)
         solve_dirichlet(child, mu)
         assert child.coarse is parent
-        assert parent.interior_stiffness is k
+        assert parent.free_stiffness(~parent.boundary_node)[0] is k
         # Only the child's own interior block is built; the coarse level is
         # the parent's, as solved at the previous mu.
         assert len(builds) == 1
@@ -574,7 +637,7 @@ class TestMultigrid:
         seen = self.spy_preconditioners(monkeypatch)
         solve_dirichlet(m, 10.0)
         solve_neumann(m, 10.0)
-        assert canonical(m.stiffness) and canonical(m.interior_stiffness)
+        assert canonical(stiffness(m)) and canonical(m.free_stiffness(~m.boundary_node)[0])
         assert len(seen) == 2
         for cycle in seen:
             assert cycle.n_levels >= 2
@@ -591,7 +654,7 @@ class TestMultigrid:
         m = triangulate(dom, 0.2)
         rng = np.random.default_rng(17)
         for mu in (1e-3, 1.0, 10.0, 100.0):
-            a = solver._operator(m, mu, dirichlet)
+            a = solver._operator(m, mu, ~m.boundary_node if dirichlet else all_free(m))
             assert a.shape[0] <= solver.COARSEST_SIZE
             r = rng.standard_normal(a.shape[0])
             got = solver.Multigrid([(a, None)])(r)
@@ -599,6 +662,33 @@ class TestMultigrid:
             ref = np.linalg.solve(dense, r)
             bound = max(1e-12, np.linalg.cond(dense) * np.finfo(float).eps)
             assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+
+    def test_third_mask(self, l_shape):
+        # A mask that is neither a Dirichlet nor a Neumann one: the interior
+        # less the nodes within 0.1 of the reentrant corner, which are fixed
+        # at given values.  Every level is its mesh's slice on the mask's
+        # prefix, and PCG with that cycle solves the masked system.
+        from scipy.sparse.linalg import splu
+        m, mu = triangulate(l_shape, 0.025), 10.0
+        free = ~m.boundary_node & (np.hypot(*(m.nodes - 1.0).T) > 0.1)
+        cycle = solver._multigrid(m, mu, free)
+        assert cycle.n_levels == 3
+        level, f = m, free
+        for k, a in enumerate(cycle.matrices):
+            shift = sp.diags(mu * mu * level.lumped_mass[f])
+            assert_same_csr(a, (stiffness(level)[f][:, f] + shift).tocsr())
+            if k < len(cycle.prolongations):
+                f_coarse = f[:level.coarse.n_nodes]
+                assert_same_csr(cycle.prolongations[k],
+                                level.prolongation[f][:, f_coarse].tocsr())
+                level, f = level.coarse, f_coarse
+        fixed = np.where(m.boundary_node, 1.0, 0.5)[~free]
+        operator = neumann_operator(m, mu)
+        rhs = -(operator[free][:, ~free] @ fixed)
+        got = solve_spd_system(SpdSystem(cycle.matrices[0], rhs, cycle), CG_TOLERANCE)
+        ref = splu(operator[free][:, free].tocsc()).solve(rhs)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert solver._solve(m, mu, free, rhs).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("n", [1, solver._TRIANGULAR_CUT - 1,
                                    solver._TRIANGULAR_CUT,
@@ -610,7 +700,8 @@ class TestMultigrid:
         assert np.abs(w @ l - np.eye(n)).max() <= 1e-13 * n
 
     def test_v_cycle_is_symmetric(self, l_shape):
-        cycle = solver._multigrid(triangulate(l_shape, 0.025), 10.0, True)
+        m = triangulate(l_shape, 0.025)
+        cycle = solver._multigrid(m, 10.0, ~m.boundary_node)
         assert cycle.n_levels == 3
         rng = np.random.default_rng(23)
         r, s = rng.standard_normal((2, cycle.matrices[0].shape[0]))
@@ -684,10 +775,15 @@ class TestGradient:
         while levels[-1].coarse is not None:
             levels.append(levels[-1].coarse)
         assert len(levels) > 2
-        assert sum("_dirichlet_stiffness" in vars(level) for level in levels) >= 2
+        assert sum(bool(level._free_stiffness) for level in levels) >= 2
+
+        def flat(v):
+            if isinstance(v, dict):
+                v = tuple(v.values())
+            return [a for x in v for a in flat(x)] if isinstance(v, tuple) else [v]
+
         for level in levels:
-            cached = [a for v in vars(level).values()
-                      for a in (v if isinstance(v, tuple) else (v,))
+            cached = [a for v in vars(level).values() for a in flat(v)
                       if isinstance(a, np.ndarray)]
             assert not any(a.dtype == float and a.shape == level._edge_counts.shape
                            for a in cached)
@@ -764,12 +860,13 @@ def test_save_field_text(tmp_path, unit_square):
 
 class TestMemoryPeaks:
     """tracemalloc peaks on the L-shape refined to 262,144 triangles, and
-    for interior_stiffness and gradient_field on a refined disc, as
-    multiples of what each call returns; deterministic for a given numpy.
-    Measured: interior_stiffness, its stiffness weights included, 2.90x
-    its K_II; gradient_field 2.27x its vectors; condition_margin 2.03x its
-    margins; the smoothers of a two-level Multigrid 2.56x its fine
-    smoother.  Fine-mesh gathers of the (M, 3, 2) gradients or the (M, 3)
+    for the interior free_stiffness and gradient_field on a refined disc,
+    as multiples of what each call returns; deterministic for a given
+    numpy.  Measured: the interior free_stiffness, its stiffness weights
+    and row sums included, 2.76x its K_II; gradient_field 2.27x its
+    vectors; condition_margin 2.03x its margins; the smoothers of a
+    two-level Multigrid 2.56x its fine smoother; a warm solve_dirichlet
+    19.4x its field.  Fine-mesh gathers of the (M, 3, 2) gradients or the (M, 3)
     corner values, concatenated COO copies, or an |A| copy of the fine
     operator break these bounds."""
 
@@ -809,7 +906,8 @@ class TestMemoryPeaks:
         self.check_interior_stiffness(*disc)
 
     def check_interior_stiffness(self, m, _):
-        k, peak = self.peak(lambda: m.interior_stiffness)
+        interior = ~m.boundary_node
+        (k, _), peak = self.peak(lambda: m.free_stiffness(interior))
         assert peak <= 3.3 * sum(a.nbytes for a in (k.data, k.indices, k.indptr))
 
     def test_gradient_field(self, large):
@@ -827,11 +925,19 @@ class TestMemoryPeaks:
         # sums of a block of rows; the coarse level is too large for a
         # dense solve and is scaled by its diagonal.
         m, _ = large
-        cycle = solver._multigrid(m, 10.0, True)
+        cycle = solver._multigrid(m, 10.0, ~m.boundary_node)
         levels = [(cycle.matrices[0], None), (cycle.matrices[1], cycle.prolongations[0])]
         assert levels[1][0].shape[0] > solver.COARSEST_SIZE
         mg, peak = self.peak(lambda: solver.Multigrid(levels))
         assert peak <= 3.0 * mg.smoothers[0].nbytes
+
+    def test_solve_dirichlet(self, large):
+        # Warm: the mu-free operators are cached by the first solve, so the
+        # peak is the cycle, the conjugate-gradient vectors and the field.
+        m, _ = large
+        solve_dirichlet(m, 10.0)
+        field, peak = self.peak(lambda: solve_dirichlet(m, 20.0))
+        assert peak <= 20.0 * field.values.nbytes
 
     @pytest.mark.parametrize("rule", ["centroid", "min-vertex"])
     def test_condition_margin(self, large, rule):

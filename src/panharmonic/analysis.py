@@ -298,6 +298,14 @@ class Ladder:
             yield mu, self.mesh
 
 
+def budget_stop_note(mu: float) -> str:
+    """The one text of a sweep that the triangle budget stopped before mu,
+    past its first mu (Ladder.stopped_at): convexity_sweep's note, and what
+    check-convexity and varadhan print after "error: "."""
+    return (f"sweep truncated before mu={mu:g}: resolving it needs more than "
+            f"the budget of {meshing.TRIANGLE_BUDGET} triangles")
+
+
 def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
                     value_rule: str = "centroid") -> ConvexityReport:
     """Run the condition check over an ascending sweep of mu.
@@ -326,9 +334,7 @@ def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
         if note:
             notes.append(note)
     if ladder.stopped_at is not None:
-        notes.append(
-            f"sweep truncated before mu={ladder.stopped_at:g}: resolving it "
-            f"needs more than the budget of {meshing.TRIANGLE_BUDGET} triangles")
+        notes.append(budget_stop_note(ladder.stopped_at))
 
     # The ladder resolves every mu it yields, so each result is verified.
     verdict = (VERDICT_HOLDS if all(r.holds() for r in cond_results)

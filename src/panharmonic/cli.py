@@ -166,9 +166,7 @@ def _cmd_varadhan(args) -> int:
         _out_dir(args) / "varadhan.csv",
         "mu,sup_error,error_x,error_y,envelope_constant,resolution_ok", rows)
     if ladder.stopped_at is not None:
-        print(f"error: triangle budget exceeded before "
-              f"mu={ladder.stopped_at:g}; largest completed mu: {rows[-1][0]:g}",
-              file=sys.stderr)
+        print(f"error: {analysis.budget_stop_note(ladder.stopped_at)}", file=sys.stderr)
         return _EXIT_PIPELINE
     if args.neumann:
         print("note: flux-data distance recovery is exploratory; no "
@@ -188,8 +186,9 @@ def _cmd_check_convexity(args) -> int:
     print(f"verdict: {report.verdict} "
           f"(largest verified mu: {report.largest_verified_mu})")
     if len(report.mu_list) < len(mus):
-        print(f"error: sweep truncated by the triangle budget after "
-              f"mu={report.mu_list[-1]:g}; see report notes", file=sys.stderr)
+        # The sweep stops at the first mu the budget cannot resolve.
+        stopped_at = mus[len(report.mu_list)]
+        print(f"error: {analysis.budget_stop_note(stopped_at)}", file=sys.stderr)
         return _EXIT_PIPELINE
     return _EXIT_OK
 

@@ -22,9 +22,10 @@ of meshes, each level with the operators its own mesh caches for the
 solve's free nodes: the free nodes of a coarse mesh are a prefix of its
 refinement's, since a refinement numbers its parent's nodes first.
 
-Roots and directly built meshes compute their geometry from their nodes,
-refinements copy it, and the rim is patched.  Each child triangle of a
-uniform refinement is similar to its parent at half the size (the middle
+Every mesh computes the geometry of some of its rows from its nodes (its
+rim) and copies the rest from its coarse mesh: a root or a directly built
+mesh computes all of them, a refinement only its rim.  Each child triangle
+of a uniform refinement is similar to its parent at half the size (the middle
 child also turned by a half-turn), so its area is the parent's area / 4, its
 hat gradients are +-2 times the parent's, and its local stiffness products
 A grad(lambda_i).grad(lambda_j), which depend only on the angles, are the
@@ -94,28 +95,34 @@ class Mesh:
 
     nodes: (N, 2) float array.  triangles: (M, 3) int32 array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
-    int32, directed so the domain lies on the left.  coarse: the pair
-    (coarse mesh, prolongation) this mesh was built from, or None; kept as
-    the attributes coarse and prolongation, the (N, coarse.n_nodes) CSR
-    interpolation from the coarse mesh's nodes to these, every row summing
-    to 1.  A coarse mesh never refers back to its refinements, so a chain
-    holds no reference cycle.  edges: the (uniq, inverse, counts) that
-    _edge_topology would return for triangles, when the caller already has
-    them.
+    int32, directed so the domain lies on the left.  coarse: the triple
+    (coarse mesh, prolongation, rim) of a uniform refinement
+    (refine_uniform), or None; kept as the attributes coarse, prolongation
+    and _rim.  prolongation is the (N, coarse.n_nodes) CSR interpolation
+    from the coarse mesh's nodes to these, every row summing to 1.  A coarse
+    mesh never refers back to its refinements, so a chain holds no
+    reference cycle.  edges: the (uniq, inverse, counts) that _edge_topology
+    would return for triangles, when the caller already has them.
+
+    _rim: the rows whose geometry is computed from the nodes (see the
+    module docstring): every row, slice(None), without a coarse mesh; on a
+    refinement the sorted int32 rows of the children with a corner at a
+    projected boundary midpoint, which are not similar to their parents,
+    empty on a polygon.  Their areas are checked positive; every other
+    row's area is its parent's / 4, positive when the parent's is.
 
     The mu-free pieces of P1 assembly are cached on first use: the lumped
     mass, and per mask of free nodes (all for a Neumann solve, the interior
     for a Dirichlet one) the block of K with the row sums K 1 and the
-    prolongation on them.  A mesh that computes its geometry from its nodes
-    (a chain's root, or one built directly) also caches its (M, 3, 2) hat
-    gradients.  A refinement (_Refinement, see the module docstring) takes
-    its areas from its coarse mesh, and gathers its gradients and local
-    stiffness products from there whenever they are asked for, caching
-    only its rim's; gradient_field reads its parent's gradients block by
-    block (_gradient_blocks) and never forms its own.
+    prolongation on them.  Of the hat gradients only the rim's are cached
+    (_rim_gradients), so a root's are all of them; a refinement gathers
+    the rest, and its local stiffness products, from its coarse mesh
+    whenever they are asked for.  gradient_field reads them block by block
+    (_gradient_blocks) and never forms a refinement's (M, 3, 2) gradients.
     """
 
-    def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix] | None = None,
+    def __init__(self, nodes, triangles,
+                 coarse: tuple[Mesh, sp.csr_matrix, np.ndarray] | None = None,
                  edges: tuple | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.asarray(triangles)
@@ -129,8 +136,11 @@ class Mesh:
         if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
             raise ValueError("triangle node index out of range")
         triangles = np.ascontiguousarray(triangles, dtype=np.int32)
-        self.coarse, self.prolongation = coarse or (None, None)
-        areas = self._triangle_areas(nodes, triangles)
+        self.coarse, self.prolongation, self._rim = coarse or (None, None, slice(None))
+        areas = _checked_areas(nodes, triangles, self._rim)
+        if self.coarse is not None:
+            rim_areas, areas = areas, np.tile(0.25 * self.coarse._areas, 4)
+            areas[self._rim] = rim_areas
 
         uniq, inverse, counts = _edge_topology(triangles, n) if edges is None else edges
         if counts.max(initial=1) > 2:
@@ -160,10 +170,6 @@ class Mesh:
         self._areas = areas
         self._free_stiffness, self._free_prolongations = {}, {}  # per free mask
 
-    def _triangle_areas(self, nodes, triangles) -> np.ndarray:
-        """The (M,) triangle areas, checked positive."""
-        return _checked_areas(nodes, triangles)
-
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
@@ -189,15 +195,28 @@ class Mesh:
     # as the mesh does; the solver adds mu^2 times the lumped mass per solve.
 
     @cached_property
+    def _rim_gradients(self) -> np.ndarray:
+        """The (R, 3, 2) hat gradients of the rows computed from the nodes
+        (_rim), read-only: every row on a root."""
+        rim = self._rim
+        grads = _hat_gradients(self.nodes, self.triangles[rim], self._areas[rim])
+        grads.setflags(write=False)
+        return grads
+
+    @property
     def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of the three hat functions on each triangle, and the
         triangle areas they are scaled by: ((M, 3, 2), (M,)), read-only.
 
         grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 A), rot90 = (-y, x).
-        Computed from the nodes and cached here; a refinement gathers them
-        from its coarse mesh on each call instead, with its rim's own.
+        A root's are _rim_gradients, cached; a refinement's are gathered on
+        each call from its coarse mesh's, +-2 times them in the child's
+        corner order, and its rim's own.
         """
-        grads = _hat_gradients(self.nodes, self.triangles, self._areas)
+        if self.coarse is None:
+            return self._rim_gradients, self._areas
+        grads = _children(self.coarse.hat_gradients[0], _CHILD_GRADIENT_SCALES)
+        grads[self._rim] = self._rim_gradients
         grads.setflags(write=False)
         return grads, self._areas
 
@@ -232,18 +251,33 @@ class Mesh:
     def _gradient_blocks(self) -> list:
         """The hat gradients in row blocks of the triangles, as a list of
         (rows, grads, corners, scale): on the triangles[rows], the gradient
-        of corner i's hat function is scale * grads[:, corners[i]].  One
-        block of this mesh's own hat_gradients here; a refinement has four
-        slices on its parent's (see _CHILD_CORNERS), then its rim's rows,
-        which replace what the slices give them."""
-        return [(slice(None), self.hat_gradients[0], (0, 1, 2), 1.0)]
+        of corner i's hat function is scale * grads[:, corners[i]].  A
+        refinement's start with four slices on its parent's (see
+        _CHILD_CORNERS); the last block, which replaces what those give its
+        rows, is always this mesh's own _rim_gradients."""
+        own = [(self._rim, self._rim_gradients, (0, 1, 2), 1.0)]
+        if self.coarse is None:
+            return own
+        grads, m = self.coarse.hat_gradients[0], self.coarse.n_triangles
+        blocks = zip(_CHILD_CORNERS, _CHILD_GRADIENT_SCALES)
+        return [(slice(j * m, (j + 1) * m), grads, corners, scale)
+                for j, (corners, scale) in enumerate(blocks)] + own
 
     def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
         """The local stiffness A_t grad(lambda_i).grad(lambda_j) of each
         triangle: the (3, M) products on the sides 01, 12, 20, ordered by
         side first as _edge_inverse is, and the (M, 3) products at the
-        corners (i = j).  Not cached."""
-        return _stiffness_products(*self.hat_gradients)
+        corners (i = j).  A refinement copies its parent's, then computes
+        its rim's.  Not cached."""
+        own = _stiffness_products(self._rim_gradients, self._areas[self._rim])
+        if self.coarse is None:
+            return own
+        sides, corners = self.coarse._local_products()
+        # sides[_CHILD_CORNERS.T][i, j] holds side _CHILD_CORNERS[j][i] of
+        # every parent, side i of child block j: (3, 4, M) -> (3, 4M).
+        sides, corners = sides[_CHILD_CORNERS.T].reshape(3, -1), _children(corners)
+        sides[:, self._rim], corners[self._rim] = own
+        return sides, corners
 
     def free_stiffness(self, free: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
         """(K[free][:, free], (K 1)[free]) for an (N,) bool mask of the free
@@ -284,66 +318,6 @@ class Mesh:
         np.add.at(lumped, self.triangles.ravel(), np.repeat(self._areas / 3.0, 3))
         lumped.setflags(write=False)
         return lumped
-
-
-class _Refinement(Mesh):
-    """A uniform refinement (refine_uniform).  Every child triangle but
-    those of the rim is similar to its parent (_CHILD_CORNERS), so its
-    area, hat gradients and local stiffness products are the parent's,
-    copied and scaled by exact powers of two; its area is positive when
-    its parent's is, so it is not checked again.
-
-    rim: the sorted int32 rows of the children that have a corner at a
-    projected boundary midpoint, which are not similar to their parents;
-    empty on a polygon.  Their areas are computed from the nodes and
-    checked positive, and their hat gradients and local products are
-    computed and cached (_rim_geometry); hat_gradients, _local_products
-    and gradient_field overwrite the copied rows with them."""
-
-    def __init__(self, nodes, triangles, coarse: tuple[Mesh, sp.csr_matrix],
-                 edges: tuple, rim: np.ndarray):
-        rim.setflags(write=False)
-        self._rim = rim
-        super().__init__(nodes, triangles, coarse, edges)
-
-    def _triangle_areas(self, nodes, triangles) -> np.ndarray:
-        areas = np.tile(0.25 * self.coarse._areas, 4)
-        areas[self._rim] = _checked_areas(nodes, triangles, self._rim)
-        return areas
-
-    @cached_property
-    def _rim_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rim's (R, 3, 2) hat gradients and its local products, (3, R)
-        on the sides and (R, 3) at the corners, computed from the nodes."""
-        areas = self._areas[self._rim]
-        grads = _hat_gradients(self.nodes, self.triangles[self._rim], areas)
-        grads.setflags(write=False)
-        return (grads,) + _stiffness_products(grads, areas)
-
-    @property
-    def hat_gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mesh.hat_gradients, gathered from the coarse mesh's on each call
-        and not cached: +-2 times the parent's, in the child's corner
-        order, with the rim's own."""
-        grads = _children(self.coarse.hat_gradients[0], _CHILD_GRADIENT_SCALES)
-        grads[self._rim] = self._rim_geometry[0]
-        grads.setflags(write=False)
-        return grads, self._areas
-
-    def _gradient_blocks(self) -> list:
-        grads, m = self.coarse.hat_gradients[0], self.coarse.n_triangles
-        blocks = zip(_CHILD_CORNERS, _CHILD_GRADIENT_SCALES)
-        return ([(slice(j * m, (j + 1) * m), grads, corners, scale)
-                 for j, (corners, scale) in enumerate(blocks)]
-                + [(self._rim, self._rim_geometry[0], (0, 1, 2), 1.0)])
-
-    def _local_products(self) -> tuple[np.ndarray, np.ndarray]:
-        sides, corners = self.coarse._local_products()
-        # sides[_CHILD_CORNERS.T][i, j] holds side _CHILD_CORNERS[j][i] of
-        # every parent, side i of child block j: (3, 4, M) -> (3, 4M).
-        sides, corners = sides[_CHILD_CORNERS.T].reshape(3, -1), _children(corners)
-        sides[:, self._rim], corners[self._rim] = self._rim_geometry[1:]
-        return sides, corners
 
 
 def _children(values: np.ndarray, scales=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
@@ -438,14 +412,13 @@ def _corner_coordinates(nodes, triangles) -> tuple[np.ndarray, np.ndarray]:
     return nodes[:, 0][triangles], nodes[:, 1][triangles]
 
 
-def _checked_areas(nodes, triangles, rows=None) -> np.ndarray:
-    """The areas of triangles[rows], or of every row when rows is None,
-    checked positive; the error names the row of triangles."""
-    areas = _signed_areas(nodes, triangles if rows is None else triangles[rows])
+def _checked_areas(nodes, triangles, rows=slice(None)) -> np.ndarray:
+    """The areas of triangles[rows], checked positive; the error names the
+    row of triangles."""
+    areas = _signed_areas(nodes, triangles[rows])
     if np.any(areas <= 0.0):
-        bad = int(np.argmax(areas <= 0.0))
-        raise ValueError(f"triangle {bad if rows is None else rows[bad]} "
-                         "is degenerate or flipped")
+        bad = np.arange(triangles.shape[0])[rows][np.argmax(areas <= 0.0)]
+        raise ValueError(f"triangle {bad} is degenerate or flipped")
     return areas
 
 
@@ -728,10 +701,10 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
     For disc domains, midpoints of boundary edges are projected onto the
     circle so refinement never flattens the boundary (the prolongation is
     still midpoint interpolation).  Parent nodes keep their indices.  The
-    refined mesh, a _Refinement, inherits its areas, hat gradients and
-    local stiffness from mesh (see the module docstring), except on its
-    rim: on a disc, the children at a projected midpoint, 3 per boundary
-    edge of mesh, which compute theirs from the nodes.
+    refined Mesh inherits its areas, hat gradients and local stiffness from
+    mesh (see the module docstring), except on its rim: on a disc, the
+    children at a projected midpoint, 3 per boundary edge of mesh, which
+    compute theirs from the nodes.
     """
     if 4 * mesh.n_triangles > TRIANGLE_BUDGET:
         raise MeshBudgetError(
@@ -774,8 +747,9 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
          np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
          np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
         shape=(n + n_edges, n))
-    return _Refinement(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation),
-                       _refined_edges(mesh), rim)
+    rim.setflags(write=False)
+    return Mesh(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation, rim),
+                _refined_edges(mesh))
 
 
 def _refined_edges(mesh: Mesh) -> tuple:

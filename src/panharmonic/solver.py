@@ -235,13 +235,18 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
 
     Returns x with ||b - A x|| <= tol * ||b||.  Deterministic.  The cap of
     20 * sqrt(n) iterations for n unknowns is generous for the systems
-    assembled here; hitting it raises ConvergenceError.
+    assembled here; hitting it raises ConvergenceError.  ValueError if
+    ||b|| is not finite (it overflows once the entries pass about
+    1e154 / sqrt(n)): the stopping test would then be void.
     """
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must be in (0, 1e-4]")
     a, b = system.matrix, system.rhs
     n = b.shape[0]
-    b_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        b_norm = float(np.linalg.norm(b))
+    if not math.isfinite(b_norm):
+        raise ValueError(f"the norm of the right-hand side is not finite ({b_norm})")
     if b_norm == 0.0:
         return np.zeros(n)
     precondition = system.preconditioner or Multigrid([(a, None)])
@@ -362,11 +367,12 @@ def gradient_field(mesh, field: ScalarField) -> GradientField:
     order from zero.
 
     The gradients are read block by block (Mesh._gradient_blocks), one
-    corner column and one (m,) gather of corner values at a time.  On a
-    refinement each block is the parent's gradients scaled by +-2, and a
-    disc's rim rows are then summed again from the rim's own cached
-    gradients; neither the (M, 3, 2) gradients nor the (M, 3) corner
-    values are formed.
+    corner column and one (m,) gather of corner values at a time.  Every
+    mesh's last block is the rows it computes from its nodes: all of a
+    root's, in place; on a refinement, after four blocks of the parent's
+    gradients scaled by +-2, a disc's rim rows, summed again apart.
+    Neither the (M, 3, 2) gradients nor the (M, 3) corner values are
+    formed.
     """
     if field.mesh is not mesh or field.values.shape[0] != mesh.n_nodes:
         raise ValueError("field is not defined on this mesh")

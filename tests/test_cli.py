@@ -116,7 +116,7 @@ class TestVaradhan:
                      "--target-h", "0.3", "--output-dir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "largest completed mu: 1" in err
+        assert err == f"error: {analysis.budget_stop_note(2000.0)}\n"
         assert len((out / "varadhan.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("mu", ["1e-300", "1e-8"])
@@ -205,6 +205,22 @@ class TestCheckConvexity:
                      "--output-dir", str(tmp_path / "cb")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_budget_truncates_with_exit_1(self, domains, tmp_path, capsys):
+        # The budget stop after the first mu prints varadhan's line, the
+        # report's note, and writes the row of the mu it resolved.
+        out = tmp_path / "cb"
+        code = _run(["check-convexity", "--domain", domains["disc"],
+                     "--mu", "1", "--mu", "2000",
+                     "--target-h", "0.3", "--output-dir", str(out)])
+        assert code == 1
+        note = analysis.budget_stop_note(2000.0)
+        assert note == ("sweep truncated before mu=2000: resolving it needs more "
+                        f"than the budget of {meshing.TRIANGLE_BUDGET} triangles")
+        assert capsys.readouterr().err == f"error: {note}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["mu_list"]) == 1 and note in report["notes"]
+        assert len((out / "margins.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("command", ["solve", "varadhan", "check-convexity"])
     def test_auto_budget_exhausted_exit_1(self, command, domains, tmp_path,

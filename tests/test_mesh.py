@@ -870,8 +870,7 @@ class TestInheritedGeometry:
         assert np.searchsorted(fine._rim, k) != k
         edges = (fine._edges_unique, fine._edge_inverse, fine._edge_counts)
         with pytest.raises(ValueError, match=f"^triangle {k} is degenerate or flipped$"):
-            meshing._Refinement(nodes, fine.triangles, (parent, fine.prolongation),
-                                edges, fine._rim)
+            Mesh(nodes, fine.triangles, (parent, fine.prolongation, fine._rim), edges)
         with pytest.raises(ValueError, match=re.escape(f"triangle {k} ")):
             Mesh(nodes, fine.triangles)
 

@@ -264,6 +264,20 @@ class TestConjugateGradient:
         return sp.diags([-np.ones(n - 1), np.full(n, 4.0), -np.ones(n - 1)],
                         [-1, 0, 1], format="csr")
 
+    def test_rhs_norm_overflow_refuses(self):
+        # ||b|| overflows to inf once the entries pass about 1e154 / sqrt(n),
+        # which voids the stopping test ||r|| <= tol ||b||: refused before
+        # the first iteration, not a nan residual at the cap.
+        from scipy.sparse.linalg import spsolve
+        a = self.tridiagonal(2000)
+        b = np.random.default_rng(12).standard_normal(2000)
+        with pytest.raises(ValueError, match=r"^the norm of the right-hand side "
+                                             r"is not finite \(inf\)$"):
+            solve_spd_system(SpdSystem(a, 1e160 * b), 1e-10)
+        got = solve_spd_system(SpdSystem(a, 1e150 * b), 1e-10)
+        ref = spsolve(a.tocsc(), 1e150 * b)
+        assert np.abs(got - ref).max() < 1e-9 * np.abs(ref).max()
+
     def test_single_level_cycle_is_repeatable(self):
         # At 32,768 unknowns the diagonal scale is large enough (256 KiB)
         # for NumPy to reuse an unshared operand in place; the cycle must
@@ -759,17 +773,29 @@ class TestGradient:
         assert grads.magnitudes() == pytest.approx(math.sqrt(13.0), rel=1e-12)
 
     def test_refined_chain_keeps_no_gradients(self, l_shape):
-        self.check_chain_keeps_no_gradients(triangulate(l_shape, 0.05))
+        self.check_chain_keeps_no_gradients(triangulate(l_shape, 0.05), 0)
 
     def test_refined_disc_chain_keeps_no_gradients(self, unit_disc):
-        self.check_chain_keeps_no_gradients(triangulate(unit_disc, 0.05))
+        self.check_chain_keeps_no_gradients(triangulate(unit_disc, 0.05), 3)
+
+    def test_large_chains_keep_rim_gradients_only(self, l_shape, unit_disc):
+        # The 12-ring web refined 4 times (221,184 triangles) and the
+        # L-shape's chain to 65,536.
+        m = _disc_web(unit_disc, 12)
+        for _ in range(4):
+            m = refine_uniform(m, unit_disc)
+        self.check_chain_keeps_no_gradients(m, 3)
+        self.check_chain_keeps_no_gradients(triangulate(l_shape, 0.0125), 0)
 
     @staticmethod
-    def check_chain_keeps_no_gradients(m):
+    def check_chain_keeps_no_gradients(m, rim_per_edge):
         # After a solve and its gradients, no level above the coarse mesh
         # holds an (M, 3, 2) array, and the topology stays int32 / uint8.
-        # No level keeps its (E,) stiffness weights either: K_II and K 1 are
-        # all a Dirichlet solve reads.
+        # Each refinement caches the hat gradients of its rim alone,
+        # rim_per_edge rows per boundary edge of its parent (3 on a disc, 0
+        # on a polygon); only the root caches all of its rows.  No level
+        # keeps its (E,) stiffness weights either: K_II and K 1 are all a
+        # Dirichlet solve reads.
         gradient_field(m, solve_dirichlet(m, 5.0))
         levels = [m]
         while levels[-1].coarse is not None:
@@ -787,8 +813,12 @@ class TestGradient:
                       if isinstance(a, np.ndarray)]
             assert not any(a.dtype == float and a.shape == level._edge_counts.shape
                            for a in cached)
+            rows = vars(level)["_rim_gradients"].shape
             if level.coarse is None:
+                assert rows == (level.n_triangles, 3, 2)
                 continue
+            boundary_edges = np.count_nonzero(level.coarse._edge_counts == 1)
+            assert rows == (rim_per_edge * boundary_edges, 3, 2)
             assert not any(a.shape == (level.n_triangles, 3, 2) for a in cached)
             for name in ("triangles", "boundary_edges", "_edges_unique", "_edge_inverse"):
                 assert getattr(level, name).dtype == np.int32
@@ -828,7 +858,7 @@ class TestGradient:
             got = gradient_field(level, ScalarField(level, 1.0, values, True, "dirichlet"))
             ref = np.einsum("ti,tik->tk", values[level.triangles], level.hat_gradients[0])
             assert np.array_equal(got.vectors, ref)
-            refined += isinstance(level, meshing._Refinement)
+            refined += level.coarse is not None
             level = level.coarse
         assert refined >= 1
 
@@ -890,8 +920,8 @@ class TestMemoryPeaks:
     @pytest.fixture()
     def disc(self):
         """The 12-ring web of the unit disc refined 4 times, 221,184
-        triangles, built afresh for each test: its parents cache their rim
-        geometry but no gradients."""
+        triangles, built afresh for each test: its parents cache their
+        rim's hat gradients and no others."""
         dom = unit_disc()
         m = _disc_web(dom, 12)
         for _ in range(4):

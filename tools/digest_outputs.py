@@ -1,10 +1,14 @@
 """Print the SHA-256 of every output of a fixed set of runs, one
 ``path sha256`` line each, so that two checkouts can be compared byte for
-byte with ``diff``:
+byte:
 
-    python tools/digest_outputs.py --seed 11 > a.txt   # in one checkout
-    python tools/digest_outputs.py --seed 11 > b.txt   # in the other
-    diff a.txt b.txt
+    python tools/digest_outputs.py --seed 11
+    python tools/digest_outputs.py --seed 11 --against ../other-checkout
+
+With ``--against PATH`` the same digest also runs in the checkout at PATH
+(its own ``tools/digest_outputs.py``, in a child process), and only the
+paths whose hashes differ, or that one side lacks, are printed; the exit
+code is 1 if there are any.
 
 The package is imported from this checkout's ``src/`` and the benchmark's
 inputs and jobs from its ``bench/workloads.py``, which is only read.  The
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -95,6 +100,8 @@ def _outputs(seed: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--against", type=Path, metavar="PATH",
+                   help="another checkout: print the paths whose digests differ")
     args = p.parse_args(argv)
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as work:
@@ -103,9 +110,21 @@ def main(argv=None) -> int:
             outputs = _outputs(args.seed)
         finally:
             os.chdir(here)
-    for path in sorted(outputs):
-        print(path, _digest(outputs[path]))
-    return 0
+    digests = {path: _digest(data) for path, data in outputs.items()}
+    if args.against is None:
+        for path in sorted(digests):
+            print(path, digests[path])
+        return 0
+    theirs = subprocess.run(
+        [sys.executable, str(args.against / "tools" / "digest_outputs.py"),
+         "--seed", str(args.seed)], check=True, stdout=subprocess.PIPE, text=True).stdout
+    other = dict(line.rsplit(" ", 1) for line in theirs.splitlines())
+    paths = digests.keys() | other.keys()
+    differ = sorted(path for path in paths if digests.get(path) != other.get(path))
+    for path in differ:
+        print(path)
+    print(f"{len(differ)} of {len(paths)} outputs differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -121,14 +121,8 @@ def varadhan_estimate(field: ScalarField) -> np.ndarray:
 
 def varadhan_error(field: ScalarField, domain: Domain) -> VaradhanResult:
     """Sup-norm gap between -log(v)/mu and the exact boundary distance,
-    taken over interior nodes."""
-    if field.boundary_condition != "dirichlet":
-        raise ValueError("distance-recovery error is defined for Dirichlet fields")
-    return _distance_gap(field, domain)
-
-
-def _distance_gap(field: ScalarField, domain: Domain) -> VaradhanResult:
-    """varadhan_error without the Dirichlet check, for flux data too."""
+    taken over interior nodes.  Dirichlet fields carry the convergence
+    statement; on a Neumann field the gap is exploratory."""
     estimate = varadhan_estimate(field)
     interior = ~field.mesh.boundary_node
     pts = field.mesh.nodes[interior]
@@ -139,9 +133,10 @@ def _distance_gap(field: ScalarField, domain: Domain) -> VaradhanResult:
 
 def solved_distance_recovery(field: ScalarField, domain: Domain
                              ) -> tuple[Optional[VaradhanResult], Optional[str]]:
-    """varadhan_error of a solved Dirichlet field, or None and a note when
-    some node value is at or below RECOVERY_FLOOR: the recovery is then
-    unresolved."""
+    """varadhan_error of a solved field, Dirichlet or Neumann, or None and
+    a note when some node value is at or below RECOVERY_FLOOR: the recovery
+    is then unresolved, and no solved field reaches the log transform with
+    a value that is solver noise."""
     below = int(np.count_nonzero(field.values <= RECOVERY_FLOOR))
     if not below:
         return varadhan_error(field, domain), None

@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_domain(p)
     add_mu_spec(p)
     p.add_argument("--neumann", action="store_true",
-                   help="exploratory: recover distance from the flux problem")
+                   help="exploratory: recover distance from the flux problem "
+                   "(the same solver floor as Dirichlet rows; no envelope)")
     p.add_argument("--rho", type=float, default=0.25,
                    help="envelope parameter in (0, 1/2)")
 
@@ -148,17 +149,15 @@ def _cmd_varadhan(args) -> int:
     if not (0.0 < args.rho < 0.5):
         raise ValueError("--rho must lie in (0, 1/2)")
     ladder = analysis.Ladder(domain, args.mu or [], _target_h(args))
+    solve = solver.solve_neumann if args.neumann else solver.solve_dirichlet
     rows = []
     for mu, m in ladder:
-        if args.neumann:
-            field = solver.solve_neumann(m, mu)
-            res, env = analysis._distance_gap(field, domain), math.nan
-        else:
-            field = solver.solve_dirichlet(m, mu)
-            res, note = analysis.solved_distance_recovery(field, domain)
-            env = analysis.decay_envelope_fit([field], domain, args.rho).constant
-            if note:
-                print(f"note: {note}")
+        field = solve(m, mu)
+        res, note = analysis.solved_distance_recovery(field, domain)
+        if note:
+            print(f"note: {note}")
+        env = (math.nan if args.neumann
+               else analysis.decay_envelope_fit([field], domain, args.rho).constant)
         sup, (x, y) = ((math.nan, (math.nan, math.nan)) if res is None
                        else (res.sup_error, res.error_location))
         rows.append((mu, sup, x, y, env, field.resolution_ok))
@@ -312,8 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (meshing.MeshBudgetError, solver.ConvergenceError,
-            analysis.NonpositiveFieldError) as e:
+    except (meshing.MeshBudgetError, solver.ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_PIPELINE
     except ValueError as e:

@@ -284,10 +284,14 @@ def _multigrid(mesh, mu: float, free: np.ndarray) -> Multigrid:
     """The V-cycle on the free nodes of mesh at this mu.  Level 0 is mesh's
     own operator (_operator) and each further level that of the next mesh
     down mesh.coarse on the prefix of free its nodes are, until a level
-    has at most COARSEST_SIZE free nodes.  Each transfer is
-    Mesh.free_prolongation, built only when the cycle descends."""
+    has at most COARSEST_SIZE free nodes or the next mesh down has none:
+    a polygon root's nodes are all on the boundary, so a Dirichlet cycle
+    stops above it, and Multigrid scales a last level that is still above
+    COARSEST_SIZE by its diagonal.  Each transfer is Mesh.free_prolongation,
+    built only when the cycle descends."""
     levels = [(_operator(mesh, mu, free), None)]
-    while mesh.coarse is not None and levels[-1][0].shape[0] > COARSEST_SIZE:
+    while (mesh.coarse is not None and levels[-1][0].shape[0] > COARSEST_SIZE
+           and free[:mesh.coarse.n_nodes].any()):
         p = mesh.free_prolongation(free)
         mesh = mesh.coarse
         free = free[:mesh.n_nodes]
@@ -302,18 +306,18 @@ def _solve(mesh, mu: float, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_spd_system(SpdSystem(cycle.matrices[0], rhs, cycle), CG_TOLERANCE)
 
 
-def _check_mu(mesh, mu: float, rhs: np.ndarray) -> bool:
+def _check_mu(mesh, mu: float) -> bool:
     """Whether a solve at this mu is resolved, with a ResolutionWarning if
     not.  ValueError unless mu is positive, finite and does not overflow
-    mu^2 m or the norm of rhs, which CG's stopping test divides by."""
+    mu^2 m.  The right-hand side built from mu is checked once, by
+    solve_spd_system, which refuses it when its norm is not finite."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError("mu must be positive and finite")
     with np.errstate(over="ignore"):
-        finite = np.isfinite([mu * mu * np.max(mesh.lumped_mass), np.linalg.norm(rhs)])
-    if not finite.all():
-        raise ValueError(
-            f"mu = {mu:g} overflows: mu^2 times the lumped mass, or the norm "
-            "of the right-hand side, is not finite")
+        finite = math.isfinite(mu * mu * np.max(mesh.lumped_mass))
+    if not finite:
+        raise ValueError(f"mu = {mu:g} overflows: mu^2 times the lumped mass "
+                         "is not finite")
     if mu * mesh.h_max > RESOLUTION_LIMIT:
         warnings.warn(
             f"mu * h_max = {mu * mesh.h_max:.3g} exceeds {RESOLUTION_LIMIT}; "
@@ -334,8 +338,8 @@ def solve_dirichlet(mesh, mu: float) -> ScalarField:
     interior = ~mesh.boundary_node
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
+    resolution_ok = _check_mu(mesh, mu)
     rhs = -(mesh.free_stiffness(interior)[1] + mu * mu * mesh.lumped_mass[interior])
-    resolution_ok = _check_mu(mesh, mu, rhs)
     w = _solve(mesh, mu, interior, rhs)
     values = np.ones(mesh.n_nodes)
     values[interior] += w
@@ -349,15 +353,14 @@ def solve_neumann(mesh, mu: float) -> ScalarField:
     trace (half the length of each adjacent boundary edge per node).  No
     maximum-principle bound holds: values exceed 1 near the boundary.
     """
+    resolution_ok = _check_mu(mesh, mu)
     be = mesh.boundary_edges
     seg = mesh.nodes[be[:, 1]] - mesh.nodes[be[:, 0]]
     half_len = 0.5 * np.hypot(seg[:, 0], seg[:, 1])
     trace = np.zeros(mesh.n_nodes)
     np.add.at(trace, be[:, 0], half_len)
     np.add.at(trace, be[:, 1], half_len)
-    rhs = mu * trace
-    resolution_ok = _check_mu(mesh, mu, rhs)
-    v = _solve(mesh, mu, np.ones(mesh.n_nodes, dtype=bool), rhs)
+    v = _solve(mesh, mu, np.ones(mesh.n_nodes, dtype=bool), mu * trace)
     return ScalarField(mesh, mu, v, resolution_ok, "neumann")
 
 

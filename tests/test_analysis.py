@@ -78,11 +78,6 @@ class TestVaradhanError:
             predicted = math.log(2 * math.pi * mu) / (2 * mu)
             assert res.sup_error == pytest.approx(predicted, rel=0.01)
 
-    def test_neumann_rejected(self, unit_disc):
-        field = solve_neumann(triangulate(unit_disc, 0.2), 1.0)
-        with pytest.raises(ValueError):
-            varadhan_error(field, unit_disc)
-
 
 class TestConditionMargin:
     def test_constant_field_margin_one(self, unit_square):

@@ -90,24 +90,41 @@ class TestVaradhan:
         assert "exploratory" in capsys.readouterr().out
         row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
         assert row[4] == "nan"  # no envelope for flux data
-        # The row is varadhan_error's gap without its Dirichlet check.
+        # The row is varadhan_error's gap of the flux field.
         disc = unit_disc()
-        gap = analysis._distance_gap(
+        gap = analysis.varadhan_error(
             solve_neumann(meshing.triangulate(disc, 0.2), 2.0), disc)
         assert row[1:4] == [analysis.format_float(c) for c in (
             gap.sup_error, gap.error_location.x1, gap.error_location.x2)]
 
-    def test_unresolved_dirichlet_row(self, domains, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--neumann"]], ids=["dirichlet", "neumann"])
+    def test_unresolved_dirichlet_row(self, flags, domains, tmp_path, capsys):
         # At mu = 40 the disc's deep-interior values (about 1e-16) sit below
-        # the solver floor: the row is kept, its recovery reads nan.
+        # the solver floor: the row is kept, its recovery reads nan, with
+        # Dirichlet and flux data alike.
         out = tmp_path / "vu"
         code = _run(["varadhan", "--domain", domains["disc"], "--mu", "40",
-                     "--target-h", "0.012", "--output-dir", str(out)])
+                     "--target-h", "0.012", "--output-dir", str(out)] + flags)
         assert code == 0
         assert "distance recovery skipped at mu=40" in capsys.readouterr().out
         row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
         assert row[1:4] == ["nan", "nan", "nan"]
-        assert float(row[4]) >= 1.0
+        if flags:
+            assert row[4] == "nan"
+        else:
+            assert float(row[4]) >= 1.0
+
+    def test_neumann_noise_row_is_skipped(self, domains, tmp_path, capsys):
+        # At mu = 80 the square's flux field dips to about -1e-15 in the
+        # interior, solver noise around 0: the row reads nan with the note,
+        # and no log of a nonpositive value is attempted.
+        out = tmp_path / "vn80"
+        code = _run(["varadhan", "--domain", domains["square"], "--mu", "80",
+                     "--neumann", "--output-dir", str(out)])
+        assert code == 0
+        assert "distance recovery skipped at mu=80" in capsys.readouterr().out
+        row = (out / "varadhan.csv").read_text().splitlines()[1].split(",")
+        assert row[1:5] == ["nan", "nan", "nan", "nan"]
 
     def test_budget_truncates_with_exit_1(self, domains, tmp_path, capsys):
         out = tmp_path / "vb"

@@ -413,8 +413,10 @@ class TestNeumann:
 
 
 class TestOverflow:
-    """Refusals of a mu too large for floating point, whose mu^2 or whose
-    right-hand side overflows, before any operator is built at it."""
+    """Refusals of a mu too large for floating point: one whose mu^2
+    overflows, before any operator is built at it, and one whose
+    right-hand side overflows, by solve_spd_system after the operators
+    are built."""
 
     @pytest.mark.parametrize("mu", [1e155, 1e200])
     @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
@@ -442,7 +444,7 @@ class TestOverflow:
             warnings.simplefilter("ignore", ResolutionWarning)
             values = solve_dirichlet(m, 1e70).values
             assert np.abs(values[~m.boundary_node]).max() <= 1e-12
-            with pytest.raises(ValueError, match=r"^mu = 1e\+80 overflows"):
+            with pytest.raises(ValueError, match="^the norm of the right-hand side is not finite"):
                 solve_dirichlet(m, 1e80)
 
 
@@ -531,6 +533,23 @@ class TestMultigrid:
         m = refine_uniform(triangulate(dom, 0.05), dom)
         got = solve_dirichlet(m, 10.0).values
         ref = self.direct_dirichlet(m, 10.0)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_dirichlet_stops_above_a_root_without_interior(self):
+        # The root of a 504-gon has no interior node, and its first
+        # refinement's n - 3 = 501 exceed COARSEST_SIZE: the cycle stops
+        # at that refinement, above the root, and scales its unknowns by
+        # their diagonal.
+        from scipy.sparse.linalg import splu
+        m = triangulate(regular_polygon(504), 0.5)
+        interior = ~m.boundary_node
+        cycle = solver._multigrid(m, 0.5, interior)
+        assert [a.shape[0] for a in cycle.matrices] == [3009, 501]
+        got = solve_dirichlet(m, 0.5).values
+        operator = neumann_operator(m, 0.5)
+        ref = np.ones(m.n_nodes)
+        ref[interior] += splu(operator[interior][:, interior].tocsc()).solve(
+            -(operator @ np.ones(m.n_nodes))[interior])
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_neumann_matches_direct_solve(self, l_shape):

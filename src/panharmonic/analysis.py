@@ -325,6 +325,8 @@ def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
         grads = gradient_field(mesh, field)
         cond_results.append(condition_margin(field, grads, value_rule))
         recovery, note = solved_distance_recovery(field, domain)
+        # Dropped before the ladder refines for the next, larger solve.
+        del field, grads
         var_results.append(recovery)
         if note:
             notes.append(note)

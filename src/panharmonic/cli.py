@@ -161,6 +161,7 @@ def _cmd_varadhan(args) -> int:
         sup, (x, y) = ((math.nan, (math.nan, math.nan)) if res is None
                        else (res.sup_error, res.error_location))
         rows.append((mu, sup, x, y, env, field.resolution_ok))
+        del field  # before the ladder refines for the next, larger solve
     analysis.write_csv_rows(
         _out_dir(args) / "varadhan.csv",
         "mu,sup_error,error_x,error_y,envelope_constant,resolution_ok", rows)

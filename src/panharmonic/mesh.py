@@ -13,14 +13,16 @@ Discs start from a concentric web of at most 12 rings, refined the same
 way but with boundary midpoints projected onto the circle: every boundary
 node lies exactly on it, and every level stays nonobtuse.
 
-Every refinement keeps the Mesh it was built from (Mesh.coarse) and the
-midpoint interpolation from its nodes (Mesh.prolongation): one chain per
-domain, nested except at a disc's projected boundary midpoints, and grown
-by one loop, refine_until, which refuses what the budget cannot fit before
-building it.  The solver's multigrid preconditioner runs over that chain
-of meshes, each level with the operators its own mesh caches for the
-solve's free nodes: the free nodes of a coarse mesh are a prefix of its
-refinement's, since a refinement numbers its parent's nodes first.
+Every refinement keeps the Mesh it was built from (Mesh.coarse): one
+chain per domain, nested except at a disc's projected boundary midpoints,
+and grown by one loop, refine_until, which refuses what the budget cannot
+fit before building it.  The solver's multigrid preconditioner runs over
+that chain of meshes, each level with the operators its own mesh caches
+for the solve's free nodes: the free nodes of a coarse mesh are a prefix
+of its refinement's, since a refinement numbers its parent's nodes first.
+The midpoint interpolation between the free nodes of a mesh and of its
+parent is built per mask on first use, from the parent's edges; the full
+one (Mesh.prolongation) only for an all-free solve.
 
 Every mesh computes the geometry of some of its rows from its nodes (its
 rim) and copies the rest from its coarse mesh: a root or a directly built
@@ -95,14 +97,12 @@ class Mesh:
 
     nodes: (N, 2) float array.  triangles: (M, 3) int32 array, each row
     counterclockwise.  boundary_node: (N,) bool.  boundary_edges: (B, 2)
-    int32, directed so the domain lies on the left.  coarse: the triple
-    (coarse mesh, prolongation, rim) of a uniform refinement
-    (refine_uniform), or None; kept as the attributes coarse, prolongation
-    and _rim.  prolongation is the (N, coarse.n_nodes) CSR interpolation
-    from the coarse mesh's nodes to these, every row summing to 1.  A coarse
-    mesh never refers back to its refinements, so a chain holds no
-    reference cycle.  edges: the (uniq, inverse, counts) that _edge_topology
-    would return for triangles, when the caller already has them.
+    int32, directed so the domain lies on the left.  coarse: the pair
+    (coarse mesh, rim) of a uniform refinement (refine_uniform), or None;
+    kept as the attributes coarse and _rim.  A coarse mesh never refers
+    back to its refinements, so a chain holds no reference cycle.  edges:
+    the (uniq, inverse, counts) that _edge_topology would return for
+    triangles, when the caller already has them.
 
     _rim: the rows whose geometry is computed from the nodes (see the
     module docstring): every row, slice(None), without a coarse mesh; on a
@@ -114,15 +114,16 @@ class Mesh:
     The mu-free pieces of P1 assembly are cached on first use: the lumped
     mass, and per mask of free nodes (all for a Neumann solve, the interior
     for a Dirichlet one) the block of K with the row sums K 1 and the
-    prolongation on them.  Of the hat gradients only the rim's are cached
-    (_rim_gradients), so a root's are all of them; a refinement gathers
-    the rest, and its local stiffness products, from its coarse mesh
-    whenever they are asked for.  gradient_field reads them block by block
+    prolongation on them, built from the coarse mesh's edges (the full
+    prolongation is the all-true mask's).  Of the hat gradients only the
+    rim's are cached (_rim_gradients), so a root's are all of them; a
+    refinement gathers the rest, and its local stiffness products, from
+    its coarse mesh whenever they are asked for.  gradient_field reads them block by block
     (_gradient_blocks) and never forms a refinement's (M, 3, 2) gradients.
     """
 
     def __init__(self, nodes, triangles,
-                 coarse: tuple[Mesh, sp.csr_matrix, np.ndarray] | None = None,
+                 coarse: tuple[Mesh, np.ndarray] | None = None,
                  edges: tuple | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=float)
         triangles = np.asarray(triangles)
@@ -136,7 +137,7 @@ class Mesh:
         if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
             raise ValueError("triangle node index out of range")
         triangles = np.ascontiguousarray(triangles, dtype=np.int32)
-        self.coarse, self.prolongation, self._rim = coarse or (None, None, slice(None))
+        self.coarse, self._rim = coarse or (None, slice(None))
         areas = _checked_areas(nodes, triangles, self._rim)
         if self.coarse is not None:
             rim_areas, areas = areas, np.tile(0.25 * self.coarse._areas, 4)
@@ -298,17 +299,40 @@ class Mesh:
         return self._free_stiffness[key]
 
     def free_prolongation(self, free: np.ndarray) -> sp.csr_matrix:
-        """P[free][:, free[:coarse.n_nodes]], the prolongation between free
-        nodes: the coarse mesh's are the mask's prefix, as refine_uniform
-        numbers the parent's nodes first.  prolongation itself when every
-        node is free, else cached per mask."""
-        if free.all():
-            return self.prolongation
+        """P[free][:, free[:n]] for the midpoint interpolation P from the
+        n = coarse.n_nodes coarse nodes, the mask's prefix: refine_uniform
+        numbers the parent's nodes first, then the midpoint n + e of each
+        coarse edge e.  Built on first use from the coarse mesh's sorted
+        edges, never by slicing P: a free coarse node takes 1 at its own
+        free column, a free midpoint 0.5 at each free end.  Cached per
+        mask; read-only."""
         key = np.packbits(free).tobytes()
         if key not in self._free_prolongations:
-            self._free_prolongations[key] = (
-                self.prolongation[free][:, free[:self.coarse.n_nodes]].tocsr())
+            n = self.coarse.n_nodes
+            renumber = np.cumsum(free[:n], dtype=np.int32) - 1
+            n_free = int(renumber[-1]) + 1
+            ends = self.coarse._edges_unique[free[n:]]
+            end_free = free[ends]
+            counts = np.count_nonzero(end_free, axis=1)
+            indptr = np.concatenate([np.arange(n_free + 1, dtype=np.int32),
+                                     n_free + np.cumsum(counts, dtype=np.int32)])
+            # Each midpoint's free ends, lo before hi: ascending columns.
+            cols = np.concatenate([np.arange(n_free, dtype=np.int32), renumber[ends[end_free]]])
+            data = np.full(cols.shape[0], 0.5)
+            data[:n_free] = 1.0
+            p = sp.csr_matrix((data, cols, indptr), shape=(indptr.shape[0] - 1, n_free))
+            for arr in (p.data, p.indices, p.indptr):
+                arr.setflags(write=False)
+            self._free_prolongations[key] = p
         return self._free_prolongations[key]
+
+    @property
+    def prolongation(self) -> sp.csr_matrix | None:
+        """The (N, coarse.n_nodes) midpoint interpolation from the coarse
+        mesh's nodes, or None without one: the all-true mask's
+        free_prolongation, built on first use (by a Neumann solve, say)."""
+        if self.coarse is not None:
+            return self.free_prolongation(np.ones(self.n_nodes, dtype=bool))
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
@@ -681,18 +705,42 @@ def triangulate(domain: Domain, target_h: float) -> Mesh:
 
 def refine_until(mesh: Mesh, domain: Domain, too_coarse) -> Mesh:
     """mesh refined uniformly while too_coarse(h_max) holds or it has no
-    interior node, so the result is solvable.  Each refinement at most
-    halves h_max, so once the floor(log4(TRIANGLE_BUDGET / n_triangles))
-    refinements that fit could not end the loop, it raises MeshBudgetError
-    before building them."""
+    interior node, so the result is solvable.  Once the
+    floor(log4(TRIANGLE_BUDGET / n_triangles)) refinements that fit could
+    not end the loop, as _refined_h_max_bound shows, it raises
+    MeshBudgetError before building them."""
     while too_coarse(mesh.h_max) or mesh.boundary_node.all():
         more = ((TRIANGLE_BUDGET // mesh.n_triangles).bit_length() - 1) // 2
-        if more < 1 or too_coarse(mesh.h_max / 2**more):
+        if more < 1 or too_coarse(_refined_h_max_bound(mesh, domain, more)):
             raise MeshBudgetError(
                 f"{mesh.n_triangles} triangles at h_max={mesh.h_max:g} cannot be refined "
                 f"far enough within the budget of {TRIANGLE_BUDGET} triangles")
         mesh = refine_uniform(mesh, domain)
     return mesh
+
+
+def _refined_h_max_bound(mesh: Mesh, domain: Domain, levels: int) -> float:
+    """A lower bound on h_max after `levels` uniform refinements of mesh:
+    h_max / 2^levels, as each keeps the halves of every edge, and on a
+    disc, whose projected midpoints lengthen the edges at them, the longest
+    side at that depth of the triangles on the circle, placed as
+    refine_uniform places them: (a, b, c) with boundary side ab has the
+    children (a, m_ab, m_ca) and (m_ab, b, m_bc), m_ab projected.  On the
+    disc webs measured this is the refined h_max to the last bit."""
+    bound = mesh.h_max / 2**levels
+    if not isinstance(domain, Disc):
+        return bound
+    side, t = np.divmod(np.flatnonzero(mesh._edge_counts[mesh._edge_inverse] == 1),
+                        mesh.n_triangles)
+    a, b, c = (mesh.nodes[mesh.triangles[t, (side + k) % 3]] for k in range(3))
+    center = np.array([domain.center.x1, domain.center.x2])
+    for _ in range(levels):
+        rel = 0.5 * (a + b) - center
+        mid = center + domain.radius * rel / np.hypot(rel[:, 0], rel[:, 1])[:, None]
+        a, b, c = (np.concatenate([a, mid]), np.concatenate([mid, b]),
+                   np.concatenate([0.5 * (c + a), 0.5 * (b + c)]))
+    sides = np.concatenate([b - a, c - b, a - c])
+    return max(bound, float(np.hypot(sides[:, 0], sides[:, 1]).max()))
 
 
 def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
@@ -739,16 +787,8 @@ def refine_uniform(mesh: Mesh, domain: Domain) -> Mesh:
         np.column_stack([cv, m20, m12]),
         np.column_stack([m01, m12, m20]),
     ])
-    # Midpoint interpolation: the parent's nodes keep their values, each
-    # midpoint takes half of each end of its parent edge.
-    n, n_edges = mesh.n_nodes, uniq.shape[0]
-    prolongation = sp.csr_matrix(
-        (np.concatenate([np.ones(n), np.full(2 * n_edges, 0.5)]),
-         np.concatenate([np.arange(n), uniq.ravel()]).astype(np.int32),
-         np.concatenate([np.arange(n), n + 2 * np.arange(n_edges + 1)])),
-        shape=(n + n_edges, n))
     rim.setflags(write=False)
-    return Mesh(np.concatenate([mesh.nodes, mids]), children, (mesh, prolongation, rim),
+    return Mesh(np.concatenate([mesh.nodes, mids]), children, (mesh, rim),
                 _refined_edges(mesh))
 
 

@@ -17,16 +17,18 @@ nodes; a Dirichlet solve the interior ones, with right-hand side
 
 The linear solve is conjugate gradients preconditioned by one symmetric
 V(1,1)-cycle of geometric multigrid over the chain of meshes each mesh
-keeps (Mesh.coarse, Mesh.prolongation).  Every level, the fine one
-included, is its own mesh's operator on its prefix of the mask; on
-nested P1 spaces a coarse level so rediscretized equals the Galerkin
-product P^T A P.  Smoothing is damped Jacobi weighted from a Gershgorin
-bound.  A level with at most COARSEST_SIZE free nodes is solved exactly
-through its Cholesky factor L: the cycle keeps W = L^-1, so the coarse
-solve W^T (W r) is symmetric positive definite by construction.  A system
-without a coarse mesh and above that size falls back to diagonal scaling,
-i.e. Jacobi-PCG.  Zero start and a fixed iteration order keep the result
-deterministic down to the last bit for a given assembled system.
+keeps (Mesh.coarse).  Every level, the fine one included, is its own
+mesh's operator on its prefix of the mask, and every transfer is the
+finer mesh's midpoint interpolation between free nodes, built for that
+mask on first use (Mesh.free_prolongation); on nested P1 spaces a coarse
+level so rediscretized equals the Galerkin product P^T A P.  Smoothing is
+damped Jacobi weighted from a Gershgorin bound.  A level with at most
+COARSEST_SIZE free nodes is solved exactly through its Cholesky factor L:
+the cycle keeps W = L^-1, so the coarse solve W^T (W r) is symmetric
+positive definite by construction.  A system without a coarse mesh and
+above that size falls back to diagonal scaling, i.e. Jacobi-PCG.  Zero
+start and a fixed iteration order keep the result deterministic down to
+the last bit for a given assembled system.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ class Multigrid:
         for level in reversed(range(len(self.smoothers))):
             a, smooth = self.matrices[level], self.smoothers[level]
             x = self.prolongations[level] @ x
-            x += pre[level]
+            # Popped once read, so the level's defect below is not its peak.
+            x += pre.pop()
             defect = a @ x
             np.subtract(residuals[level], defect, out=defect)
             defect *= smooth
@@ -252,13 +255,13 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
     precondition = system.preconditioner or Multigrid([(a, None)])
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = precondition(r)  # a fresh vector: the first direction, not a copy
+    rz = float(r @ p)
     cap = max(1, math.ceil(20.0 * math.sqrt(n)))
     # Every update runs in place: the product a @ p is the only fresh vector
     # per iteration besides the preconditioner's, and its buffer is reused
-    # for both scaled updates once p @ ap is taken.
+    # for both scaled updates once p @ ap is taken.  Each is deleted once
+    # read, so neither lives through the next product or cycle.
     for _ in range(cap):
         ap = a @ p
         alpha = rz / float(p @ ap)
@@ -266,6 +269,7 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         r -= ap
         np.multiply(p, alpha, out=ap)
         x += ap
+        del ap
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * b_norm:
             return x
@@ -273,6 +277,7 @@ def solve_spd_system(system: SpdSystem, tol: float) -> np.ndarray:
         rz_next = float(r @ z)
         p *= rz_next / rz
         p += z
+        del z
         rz = rz_next
     raise ConvergenceError(
         f"conjugate gradients did not reach tol={tol:g} within {cap} "

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -285,6 +286,29 @@ class TestSweep:
     def test_budget_exhausted_entirely(self, unit_disc):
         with pytest.raises(MeshBudgetError, match=r"^mu=2000: "):
             convexity_sweep(unit_disc, [2000.0], 0.3)
+
+    def test_each_field_dropped_before_the_next_solve(self, l_shape, monkeypatch):
+        # Each mu past the first refines the mesh, then solves on it; the
+        # previous mu's field and gradients are not held through either.
+        refs, alive = [], []
+        solve, gradients = analysis.solve_dirichlet, analysis.gradient_field
+
+        def spy_solve(mesh, mu):
+            alive.append([r() is not None for r in refs])
+            field = solve(mesh, mu)
+            refs.append(weakref.ref(field))
+            return field
+
+        def spy_gradients(mesh, field):
+            grads = gradients(mesh, field)
+            refs.append(weakref.ref(grads))
+            return grads
+
+        monkeypatch.setattr(analysis, "solve_dirichlet", spy_solve)
+        monkeypatch.setattr(analysis, "gradient_field", spy_gradients)
+        report = convexity_sweep(l_shape, [2.0, 4.0, 8.0])
+        assert report.mu_list == (2.0, 4.0, 8.0)
+        assert alive == [[], [False] * 2, [False] * 4]
 
     def test_varadhan_skip_note(self, unit_disc):
         # Deep-interior values at mu=40 sit below double noise; the sweep

@@ -3,12 +3,13 @@
 import json
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from panharmonic import analysis, cli
+from panharmonic import analysis, cli, solver
 from panharmonic import mesh as meshing
 from panharmonic.geometry import (Polygon, dump_domain, l_shape,
                                   regular_polygon, unit_disc, unit_square)
@@ -96,6 +97,25 @@ class TestVaradhan:
             solve_neumann(meshing.triangulate(disc, 0.2), 2.0), disc)
         assert row[1:4] == [analysis.format_float(c) for c in (
             gap.sup_error, gap.error_location.x1, gap.error_location.x2)]
+
+    def test_each_field_dropped_before_the_next_solve(self, domains, tmp_path,
+                                                      monkeypatch):
+        # The mu = 8 mesh refines the mu = 4 one; the mu = 4 field is not
+        # held through that refinement or the solve.
+        refs, alive = [], []
+        solve = solver.solve_dirichlet
+
+        def spy(mesh, mu):
+            alive.append([r() is not None for r in refs])
+            field = solve(mesh, mu)
+            refs.append(weakref.ref(field))
+            return field
+
+        monkeypatch.setattr(solver, "solve_dirichlet", spy)
+        code = _run(["varadhan", "--domain", domains["lshape"], "--mu", "4",
+                     "--mu", "8", "--output-dir", str(tmp_path / "v")])
+        assert code == 0
+        assert alive == [[], [False]]
 
     @pytest.mark.parametrize("flags", [[], ["--neumann"]], ids=["dirichlet", "neumann"])
     def test_unresolved_dirichlet_row(self, flags, domains, tmp_path, capsys):

@@ -25,8 +25,9 @@ from panharmonic import mesh as meshing
 from panharmonic.mesh import (TRIANGLE_BUDGET, Mesh, MeshBudgetError, _disc_web,
                               _ear_clip, _edge_topology, _grid_mesh, _lawson_flip,
                               _signed_areas, chain_root, mesh_quality,
-                              refine_uniform, save_mesh_text, triangulate)
-from panharmonic.solver import ResolutionWarning, solve_dirichlet, solve_neumann
+                              refine_uniform, refine_until, save_mesh_text, triangulate)
+from panharmonic.solver import (RESOLUTION_LIMIT, ResolutionWarning, solve_dirichlet,
+                                solve_neumann)
 from strategies import (comb, combs, refined_discs, refined_web, rotated_l_shape,
                         skyline, skylines, star_polygons)
 
@@ -627,6 +628,49 @@ class TestDiscChain:
         assert refined == []
 
 
+class TestDiscRimRefusal:
+    """A disc's projected rim makes each refinement less than halve h_max,
+    so refine_until bounds the refined h_max from the rim itself: on the
+    unit disc the budget's 576-ring chain ends at h_max =
+    0.0025126983582356654, and a mu just past it is refused at the 9-ring
+    root, before any refinement."""
+
+    @staticmethod
+    def ladder_mesh(disc, mu, monkeypatch):
+        """The Ladder's mesh for mu alone, and the triangle counts that
+        refine_uniform was asked to refine."""
+        refined = []
+
+        def spy(mesh, domain):
+            refined.append(mesh.n_triangles)
+            return refine_uniform(mesh, domain)
+
+        monkeypatch.setattr(meshing, "refine_uniform", spy)
+        try:
+            return refine_until(chain_root(disc, RESOLUTION_LIMIT / mu), disc,
+                                lambda h: mu * h > RESOLUTION_LIMIT), refined
+        except MeshBudgetError as exc:
+            return exc, refined
+
+    def test_last_resolved_mu(self, unit_disc, monkeypatch):
+        m, refined = self.ladder_mesh(unit_disc, 198.98, monkeypatch)
+        assert m.n_triangles == 6 * 576**2 == 1_990_656
+        assert m.h_max == 0.0025126983582356654
+        assert refined == [6 * 9**2 * 4**k for k in range(6)]
+
+    @pytest.mark.parametrize("mu", [199.0, 204.0])
+    def test_refused_at_the_root(self, unit_disc, mu, monkeypatch):
+        # Each refinement halving h_max would reach mu * h_max <= 0.5 here;
+        # the rim does not let it, so nothing is built.
+        exc, refined = self.ladder_mesh(unit_disc, mu, monkeypatch)
+        assert isinstance(exc, MeshBudgetError)
+        assert str(exc).startswith(f"{6 * 9**2} triangles at h_max=")
+        assert refined == []
+        root = chain_root(unit_disc, RESOLUTION_LIMIT / mu)
+        assert mu * root.h_max / 2**6 <= RESOLUTION_LIMIT
+        assert meshing._refined_h_max_bound(root, unit_disc, 6) == 0.0025126983582356654
+
+
 class TestRefineUntil:
     """triangulate is refine_until on chain_root: it stops where the ring
     rule and the reference loop do, and refuses over the budget.  The budget
@@ -870,7 +914,7 @@ class TestInheritedGeometry:
         assert np.searchsorted(fine._rim, k) != k
         edges = (fine._edges_unique, fine._edge_inverse, fine._edge_counts)
         with pytest.raises(ValueError, match=f"^triangle {k} is degenerate or flipped$"):
-            Mesh(nodes, fine.triangles, (parent, fine.prolongation, fine._rim), edges)
+            Mesh(nodes, fine.triangles, (parent, fine._rim), edges)
         with pytest.raises(ValueError, match=re.escape(f"triangle {k} ")):
             Mesh(nodes, fine.triangles)
 

@@ -36,7 +36,7 @@ print(f"  fraction of triangles in violation: {(margins < 0).mean():.5f}")
 # mu * h_max > 0.5 and attaching distance-recovery diagnostics.
 report = convexity_sweep(ell, [5.0, 10.0, 20.0], 0.025)
 print(f"\nL-shape sweep verdict: {report.verdict}")
-for res in report.condition_results:
+for res in report.rows:
     c = res.argmin_centroid
     print(f"  mu={res.mu:5g}  min margin {res.min_margin:10.4f}  "
           f"argmin ({c.x1:.4f}, {c.x2:.4f})")
@@ -45,7 +45,7 @@ print("violation is thousands of tolerances deep: the continuum signature")
 
 report = convexity_sweep(square, [2.0, 5.0], 0.05)
 print(f"\nunit square sweep verdict: {report.verdict}")
-for res in report.condition_results:
+for res in report.rows:
     print(f"  mu={res.mu:5g}  min margin {res.min_margin:10.4f}")
 for note in report.notes:
     print("  note:", note)

@@ -13,6 +13,10 @@ Three measurements, each with a crisp contract:
   distance as mu grows; varadhan_error measures the sup-norm gap against
   exact geometry.
 
+The first two read one mu sweep: sweep_rows, the one loop over a Ladder,
+solves each mu, keeps a small SweepRow of what its caller measures and drops
+the field before the ladder refines again.
+
 * superharmonicity probes -- disc averages of the boundary distance
   compared with its center value.  Convex domains keep the average below
   the center value; a reflex corner reverses the inequality for a probe
@@ -65,10 +69,6 @@ class ConditionResult:
     min_margin: float
     argmin_centroid: Point2
     tol_margin: float
-    resolution_ok: bool
-
-    def holds(self) -> bool:
-        return self.min_margin >= -self.tol_margin
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,30 @@ class ProbeResult(NamedTuple):
 
 
 @dataclass(frozen=True)
+class SweepRow:
+    """One mu of sweep_rows, with no per-node or per-triangle array: recovery
+    None when skipped (note says why), the other measures nan unless taken."""
+    mu: float
+    n_triangles: int
+    resolution_ok: bool
+    recovery: Optional[VaradhanResult]
+    note: Optional[str]
+    min_margin: float = math.nan
+    argmin_centroid: Point2 = Point2(math.nan, math.nan)
+    tol_margin: float = math.nan
+    envelope_constant: float = math.nan
+
+    def holds(self) -> bool:
+        return self.min_margin >= -self.tol_margin
+
+
+@dataclass(frozen=True)
 class ConvexityReport:
+    """convexity_sweep's SweepRows, one per swept mu, and the Ladder's stopped_at."""
     domain_summary: dict
     mu_list: tuple
-    condition_results: tuple     # of ConditionResult
-    varadhan_results: tuple      # of VaradhanResult or None, same length
+    rows: tuple                  # of SweepRow
+    stopped_at: Optional[float]
     verdict: str
     ground_truth_convex: Optional[bool]
     largest_verified_mu: float
@@ -131,19 +150,6 @@ def varadhan_error(field: ScalarField, domain: Domain) -> VaradhanResult:
     return VaradhanResult(field.mu, float(gap[k]), Point2(*pts[k]))
 
 
-def solved_distance_recovery(field: ScalarField, domain: Domain
-                             ) -> tuple[Optional[VaradhanResult], Optional[str]]:
-    """varadhan_error of a solved field, Dirichlet or Neumann, or None and
-    a note when some node value is at or below RECOVERY_FLOOR: the recovery
-    is then unresolved, and no solved field reaches the log transform with
-    a value that is solver noise."""
-    below = int(np.count_nonzero(field.values <= RECOVERY_FLOOR))
-    if not below:
-        return varadhan_error(field, domain), None
-    return None, (f"distance recovery skipped at mu={field.mu:g}: {below} node "
-                  f"values at or below the solver floor {RECOVERY_FLOOR:g}")
-
-
 def condition_margin(field: ScalarField, grads: GradientField,
                      value_rule: str = "centroid") -> ConditionResult:
     """Per-triangle margins mu * v - |grad v| and their minimum.
@@ -171,7 +177,7 @@ def condition_margin(field: ScalarField, grads: GradientField,
     centroid = field.mesh.nodes[field.mesh.triangles[k]].mean(axis=0)
     tol = MARGIN_TOL_FACTOR * field.mu * float(field.values.max())
     return ConditionResult(field.mu, margins, float(margins[k]),
-                           Point2(*centroid), tol, field.resolution_ok)
+                           Point2(*centroid), tol)
 
 
 def canonical_corner_probe(polygon: Polygon, vertex_index: int,
@@ -301,73 +307,78 @@ def budget_stop_note(mu: float) -> str:
             f"the budget of {meshing.TRIANGLE_BUDGET} triangles")
 
 
+def sweep_rows(ladder: Ladder, solve, value_rule: Optional[str] = None,
+               rho: Optional[float] = None):
+    """Solve each step of ladder with solve(mesh, mu) and yield its SweepRow:
+    varadhan_error, or None and a note when a value is at or below
+    RECOVERY_FLOOR (solver noise), plus the condition_margin summary given a
+    value_rule and a Dirichlet field's decay_envelope_fit given a rho.  No
+    field, gradient or margin is held while the ladder refines again."""
+    for mu, mesh in ladder:
+        field = solve(mesh, mu)
+        measured = {}
+        if value_rule is not None:
+            cond = condition_margin(field, gradient_field(mesh, field), value_rule)
+            measured.update(min_margin=cond.min_margin, tol_margin=cond.tol_margin,
+                            argmin_centroid=cond.argmin_centroid)
+            del cond
+        below = int(np.count_nonzero(field.values <= RECOVERY_FLOOR))
+        recovery = None if below else varadhan_error(field, ladder.domain)
+        note = (f"distance recovery skipped at mu={mu:g}: {below} node values at "
+                f"or below the solver floor {RECOVERY_FLOOR:g}") if below else None
+        if rho is not None and field.boundary_condition == "dirichlet":
+            measured["envelope_constant"] = decay_envelope_fit(
+                [field], ladder.domain, rho).constant
+        row = SweepRow(mu, mesh.n_triangles, field.resolution_ok, recovery,
+                       note, **measured)
+        del field
+        yield row
+
+
 def convexity_sweep(domain: Domain, mu_list, target_h: Optional[float] = None,
                     value_rule: str = "centroid") -> ConvexityReport:
     """Run the condition check over an ascending sweep of mu.
 
-    The meshes come from Ladder(domain, mu_list, target_h), so every
-    result's resolution_ok holds; a budget stop past the first mu truncates
-    the sweep with a note, and report.mu_list is the swept prefix.  The
-    verdict covers that prefix only, and CONDITION_FAILS means "no
-    certificate at the tested mu", never a proof of nonconvexity.
+    The rows come from sweep_rows over Ladder(domain, mu_list, target_h), so
+    each resolution_ok holds; a budget stop past the first mu truncates the
+    sweep with a note, mu_list is the swept prefix and stopped_at the mu it
+    stopped before.  The verdict covers that prefix only: CONDITION_FAILS
+    means "no certificate at the tested mu", never a proof of nonconvexity.
     """
     ladder = Ladder(domain, mu_list, target_h)
+    rows = tuple(sweep_rows(ladder, solve_dirichlet, value_rule))
     notes = [
         "one-directional check: nonnegative margins at the tested mu "
         "support convexity; a negative margin withholds the certificate "
         "but does not prove nonconvexity",
         f"margins evaluated with the {value_rule} value rule",
+        *(r.note for r in rows if r.note),
     ]
-    cond_results: list[ConditionResult] = []
-    var_results: list[Optional[VaradhanResult]] = []
-    for mu, mesh in ladder:
-        field = solve_dirichlet(mesh, mu)
-        grads = gradient_field(mesh, field)
-        cond_results.append(condition_margin(field, grads, value_rule))
-        recovery, note = solved_distance_recovery(field, domain)
-        # Dropped before the ladder refines for the next, larger solve.
-        del field, grads
-        var_results.append(recovery)
-        if note:
-            notes.append(note)
     if ladder.stopped_at is not None:
         notes.append(budget_stop_note(ladder.stopped_at))
 
-    # The ladder resolves every mu it yields, so each result is verified.
-    verdict = (VERDICT_HOLDS if all(r.holds() for r in cond_results)
-               else VERDICT_FAILS)
-    largest = cond_results[-1].mu
-    notes.append(f"largest resolution-verified mu: {largest:g}")
-    return ConvexityReport(
-        domain_summary=domain_to_dict(domain),
-        mu_list=tuple(r.mu for r in cond_results),
-        condition_results=tuple(cond_results),
-        varadhan_results=tuple(var_results),
-        verdict=verdict,
-        ground_truth_convex=is_convex_polygon(domain),
-        largest_verified_mu=largest,
-        notes=tuple(notes),
-    )
+    notes.append(f"largest resolution-verified mu: {rows[-1].mu:g}")
+    # The ladder resolves every mu it yields, so each row is verified.
+    verdict = VERDICT_HOLDS if all(r.holds() for r in rows) else VERDICT_FAILS
+    return ConvexityReport(domain_to_dict(domain), tuple(r.mu for r in rows),
+                           rows, ladder.stopped_at, verdict,
+                           is_convex_polygon(domain), rows[-1].mu, tuple(notes))
 
 
 def report_to_dict(report: ConvexityReport) -> dict:
-    """JSON-ready view of a ConvexityReport (margins summarized, not dumped)."""
-    rows = []
-    for cond, var in zip(report.condition_results, report.varadhan_results):
-        row = {
-            "mu": cond.mu,
-            "min_margin": cond.min_margin,
-            "argmin": [cond.argmin_centroid.x1, cond.argmin_centroid.x2],
-            "tol_margin": cond.tol_margin,
-            "resolution_ok": cond.resolution_ok,
-            "n_triangles": int(cond.margins.shape[0]),
-            "margin_holds": cond.holds(),
-        }
-        row["varadhan"] = None if var is None else {
-            "sup_error": var.sup_error,
-            "location": [var.error_location.x1, var.error_location.x2],
-        }
-        rows.append(row)
+    """JSON-ready view of a ConvexityReport, one entry per row."""
+    rows = [{
+        "mu": r.mu,
+        "min_margin": r.min_margin,
+        "argmin": list(r.argmin_centroid),
+        "tol_margin": r.tol_margin,
+        "resolution_ok": r.resolution_ok,
+        "n_triangles": r.n_triangles,
+        "margin_holds": r.holds(),
+        "varadhan": None if r.recovery is None else {
+            "sup_error": r.recovery.sup_error,
+            "location": list(r.recovery.error_location)},
+    } for r in report.rows]
     return {
         "domain": report.domain_summary,
         "mu_list": list(report.mu_list),
@@ -404,8 +415,6 @@ def write_margins_csv(report: ConvexityReport, path) -> None:
     resolution_ok.  17 significant digits throughout."""
     write_csv_rows(
         path, "mu,min_margin,argmin_x,argmin_y,sup_error,resolution_ok",
-        ((cond.mu, cond.min_margin,
-          cond.argmin_centroid.x1, cond.argmin_centroid.x2,
-          math.nan if var is None else var.sup_error, cond.resolution_ok)
-         for cond, var in zip(report.condition_results,
-                              report.varadhan_results)))
+        ((r.mu, r.min_margin, r.argmin_centroid.x1, r.argmin_centroid.x2,
+          math.nan if r.recovery is None else r.recovery.sup_error,
+          r.resolution_ok) for r in report.rows))

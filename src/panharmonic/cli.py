@@ -8,13 +8,13 @@ Subcommands:
 * probe-superharmonic disc-average probes at reflex corners (CSV)
 * validate            built-in analytic cross-checks, pass/fail per line
 
-Every command that solves (solve, varadhan, check-convexity) walks one
-analysis.Ladder: it checks the mu list, meshes at --target-h ('auto':
-the root of the largest mu's chain, mesh.chain_root) and refines as mu
-climbs (mesh.refine_until), so each field is solved on a mesh that
-resolves it.  A first mesh or first mu the triangle budget cannot resolve
-exits 1 with refine_until's one error, writing nothing; at a later mu,
-the command keeps what completed and exits 1.
+Every command that solves walks one analysis.Ladder (varadhan and
+check-convexity through analysis.sweep_rows): it checks the mu list, meshes
+at --target-h ('auto': the root of the largest mu's chain, mesh.chain_root)
+and refines as mu climbs (mesh.refine_until), so each field is solved on a
+mesh that resolves it.  A first mesh or first mu the triangle budget cannot
+resolve exits 1 with refine_until's one error, writing nothing; at a later
+mu, the command keeps what completed and exits 1 with one error for both.
 
 Exit status: 0 success, 1 pipeline failure (budget, solver), 2 bad
 configuration (flags, malformed domain file).  Identical configurations
@@ -151,23 +151,17 @@ def _cmd_varadhan(args) -> int:
     ladder = analysis.Ladder(domain, args.mu or [], _target_h(args))
     solve = solver.solve_neumann if args.neumann else solver.solve_dirichlet
     rows = []
-    for mu, m in ladder:
-        field = solve(m, mu)
-        res, note = analysis.solved_distance_recovery(field, domain)
-        if note:
-            print(f"note: {note}")
-        env = (math.nan if args.neumann
-               else analysis.decay_envelope_fit([field], domain, args.rho).constant)
-        sup, (x, y) = ((math.nan, (math.nan, math.nan)) if res is None
-                       else (res.sup_error, res.error_location))
-        rows.append((mu, sup, x, y, env, field.resolution_ok))
-        del field  # before the ladder refines for the next, larger solve
+    for row in analysis.sweep_rows(ladder, solve, rho=args.rho):
+        if row.note:
+            print(f"note: {row.note}")
+        sup, (x, y) = ((math.nan, (math.nan, math.nan)) if row.recovery is None
+                       else (row.recovery.sup_error, row.recovery.error_location))
+        rows.append((row.mu, sup, x, y, row.envelope_constant, row.resolution_ok))
     analysis.write_csv_rows(
         _out_dir(args) / "varadhan.csv",
         "mu,sup_error,error_x,error_y,envelope_constant,resolution_ok", rows)
     if ladder.stopped_at is not None:
-        print(f"error: {analysis.budget_stop_note(ladder.stopped_at)}", file=sys.stderr)
-        return _EXIT_PIPELINE
+        raise meshing.MeshBudgetError(analysis.budget_stop_note(ladder.stopped_at))
     if args.neumann:
         print("note: flux-data distance recovery is exploratory; no "
               "convergence statement is attached to these numbers")
@@ -177,19 +171,15 @@ def _cmd_varadhan(args) -> int:
 
 def _cmd_check_convexity(args) -> int:
     domain = _load_domain(args.domain)
-    mus = args.mu or []
-    report = analysis.convexity_sweep(domain, mus, _target_h(args),
+    report = analysis.convexity_sweep(domain, args.mu or [], _target_h(args),
                                       args.value_rule)
     out = _out_dir(args)
     analysis.write_report_json(report, out / "report.json")
     analysis.write_margins_csv(report, out / "margins.csv")
     print(f"verdict: {report.verdict} "
           f"(largest verified mu: {report.largest_verified_mu})")
-    if len(report.mu_list) < len(mus):
-        # The sweep stops at the first mu the budget cannot resolve.
-        stopped_at = mus[len(report.mu_list)]
-        print(f"error: {analysis.budget_stop_note(stopped_at)}", file=sys.stderr)
-        return _EXIT_PIPELINE
+    if report.stopped_at is not None:
+        raise meshing.MeshBudgetError(analysis.budget_stop_note(report.stopped_at))
     return _EXIT_OK
 
 

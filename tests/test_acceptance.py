@@ -184,21 +184,22 @@ def test_criterion_06_disc_holds_with_margin_match(disc_report):
     assert disc_report.verdict == "CONDITION_HOLDS"
     assert disc_report.ground_truth_convex is True
     assert disc_report.largest_verified_mu == 40.0
-    for res in disc_report.condition_results:
+    for res in disc_report.rows:
         assert res.resolution_ok
         assert res.holds()
-    for res in disc_report.condition_results[:3]:  # mu = 5, 10, 20
+    for res in disc_report.rows[:3]:  # mu = 5, 10, 20
         analytic = _analytic_min_margin(res.mu)
         assert abs(res.min_margin / analytic - 1.0) <= 0.10
 
 
 def test_criterion_06_square_holds_at_low_mu(square_report):
     assert square_report.ground_truth_convex is True
-    for res in square_report.condition_results[:2]:  # mu = 5, 10
+    for res in square_report.rows[:2]:  # mu = 5, 10
         assert res.resolution_ok
         assert res.holds()
         assert res.min_margin > 0.0
-    sups = [v.sup_error for v in square_report.varadhan_results if v is not None]
+    sups = [r.recovery.sup_error for r in square_report.rows
+            if r.recovery is not None]
     assert len(sups) == 4
     assert all(a > b for a, b in zip(sups, sups[1:]))
 
@@ -222,7 +223,7 @@ def test_criterion_06_square_full_sweep_verdict(square_report):
     "for any budget-compatible mesh",
 )
 def test_criterion_06_disc_margin_match_at_mu_40(disc_report):
-    res = disc_report.condition_results[3]
+    res = disc_report.rows[3]
     analytic = _analytic_min_margin(40.0)
     assert abs(res.min_margin / analytic - 1.0) <= 0.10
 
@@ -230,7 +231,7 @@ def test_criterion_06_disc_margin_match_at_mu_40(disc_report):
 def test_criterion_07_reentrant_corner_fails(l_report):
     assert l_report.verdict == "CONDITION_FAILS"
     assert l_report.ground_truth_convex is False
-    resolved = [r for r in l_report.condition_results if r.resolution_ok]
+    resolved = [r for r in l_report.rows if r.resolution_ok]
     assert resolved[-1].mu == 40.0
     assert not resolved[-1].holds()
     c = resolved[-1].argmin_centroid

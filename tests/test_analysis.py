@@ -1,5 +1,6 @@
 """Condition margins, distance recovery, probes, and the sweep driver."""
 
+import dataclasses
 import json
 import math
 import weakref
@@ -314,9 +315,30 @@ class TestSweep:
         # Deep-interior values at mu=40 sit below double noise; the sweep
         # must keep the margin result and skip only the distance recovery.
         report = convexity_sweep(unit_disc, [40.0], 0.012)
-        assert report.varadhan_results == (None,)
-        assert len(report.condition_results) == 1
+        assert tuple(r.recovery for r in report.rows) == (None,)
+        assert len(report.rows) == 1
+        assert math.isfinite(report.rows[0].min_margin)
         assert any("skipped at mu=40" in n for n in report.notes)
+
+
+    def test_report_holds_no_per_triangle_array(self, unit_disc):
+        # Four mu on one mesh of 1,500 or so triangles: the report keeps a
+        # few numbers per row, not the margins of every triangle.
+        report = convexity_sweep(unit_disc, [0.5, 1.0, 2.0, 4.0], 0.1)
+        rows = report_to_dict(report)["results"]
+        assert len(rows) == 4 and len({r["n_triangles"] for r in rows}) == 1
+        sizes, stack = [], [report]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+            elif dataclasses.is_dataclass(obj):
+                stack += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            elif isinstance(obj, dict):
+                stack += obj.values()
+            elif isinstance(obj, (tuple, list)):
+                stack += obj
+        assert all(size <= len(rows) for size in sizes), sizes
 
 
 class TestLadder:

@@ -169,6 +169,40 @@ class TestVaradhan:
                             r"is numerically singular at this mu", err[0])
 
 
+class TestSweepLoop:
+    """varadhan and check-convexity walk one loop, analysis.sweep_rows."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("gradient_field", "condition_margin", "decay_envelope_fit"):
+            def spy(*args, _name=name, _call=getattr(analysis, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args)
+            monkeypatch.setattr(analysis, name, spy)
+        return counts
+
+    def test_one_stop_one_message(self, domains, tmp_path, capsys, calls):
+        # The budget stops the disc sweep after mu = 1; both commands keep
+        # that row, print the same error line and exit 1.
+        argv = ["--domain", domains["disc"], "--mu", "1", "--mu", "2000",
+                "--target-h", "0.3"]
+        errors = []
+        for command in ("varadhan", "check-convexity"):
+            calls.clear()
+            out = str(tmp_path / command)
+            assert _run([command, *argv, "--output-dir", out]) == 1
+            errors.append(capsys.readouterr().err)
+            # varadhan measures no margin; check-convexity fits no envelope.
+            assert calls == ({"decay_envelope_fit": 1} if command == "varadhan"
+                             else {"gradient_field": 1, "condition_margin": 1})
+        assert errors == [f"error: {analysis.budget_stop_note(2000.0)}\n"] * 2
+        ladder = analysis.Ladder(unit_disc(), [1.0, 2000.0], 0.3)
+        assert [mu for mu, _ in ladder] == [1.0]
+        report = analysis.convexity_sweep(unit_disc(), [1.0, 2000.0], 0.3)
+        assert report.stopped_at == ladder.stopped_at == 2000.0
+
+
 class TestCheckConvexity:
     def test_lshape_fails_with_report(self, domains, tmp_path, capsys):
         out = tmp_path / "c"

@@ -9,17 +9,21 @@ The job is ``bench/workloads.py``'s sweep-lshape job on the seed's input,
 run once in this fresh interpreter.  The package is imported from the
 checkout's ``src/`` and the workload from its ``bench/workloads.py``, which
 is only read (``--checkout`` names another checkout, by default this one).
-The stage functions are wrapped, not copied, so the job runs its own loop;
-one line is printed after each call of
+The stage functions are wrapped, not copied, where the package looks them
+up, so the job runs its own loop; one line is printed after each call of
 
 * ``mesh.refine_uniform`` (each refinement of the ladder),
 * ``Mesh.free_stiffness``, on its first call per mesh (the fine level's
   stiffness block of each solve; later calls read the cache),
 * ``analysis.solve_dirichlet``, ``analysis.gradient_field`` and
-  ``analysis.condition_margin`` (each mu of the sweep),
+  ``analysis.condition_margin``: ``convexity_sweep`` hands the first to
+  ``analysis.sweep_rows``, the one sweep loop, which looks up the other two,
+  so each mu of the sweep prints one line of each,
 
 as ``stage, mu, triangles, ru_maxrss in MB``.  The peak never falls, so a
 stage that adds nothing to it repeats the line above.
+``tests/test_tools.py`` runs ``_wrap_stages`` on a two-mu sweep and checks
+those three lines per mu.
 """
 
 from __future__ import annotations
